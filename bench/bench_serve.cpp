@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "exec/thread_team.hpp"
 #include "runtime/scheduler.hpp"
 #include "serve/service.hpp"
@@ -34,12 +35,7 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-struct Metric {
-  std::string name;
-  double value;
-  const char* unit;
-  const char* better;
-};
+using bench::Metric;
 
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
@@ -169,26 +165,9 @@ int main(int argc, char** argv) {
       "condvar.  Dispatch latency grows with queue depth ahead of a "
       "submission.\n");
 
-  if (!json_path.empty()) {
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"bench_serve\",\n");
-    std::fprintf(f, "  \"deterministic\": false,\n  \"metrics\": [\n");
-    for (std::size_t i = 0; i < metrics.size(); ++i) {
-      const Metric& mt = metrics[i];
-      std::fprintf(f,
-                   "    {\"name\": \"%s\", \"value\": %.6g, \"unit\": "
-                   "\"%s\", \"better\": \"%s\", \"deterministic\": false, "
-                   "\"gate\": false}%s\n",
-                   mt.name.c_str(), mt.value, mt.unit, mt.better,
-                   i + 1 < metrics.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("wrote %s (%zu metrics)\n", json_path.c_str(), metrics.size());
+  if (!json_path.empty() &&
+      !bench::write_json(json_path, "bench_serve", false, metrics)) {
+    return 1;
   }
   return 0;
 }

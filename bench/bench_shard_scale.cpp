@@ -36,13 +36,7 @@ using namespace selfsched;
 
 namespace {
 
-struct Metric {
-  std::string name;
-  double value;
-  const char* unit;
-  const char* better;  // "less" | "more"
-  bool gate;           // compared against the committed baseline in CI
-};
+using bench::Metric;
 
 constexpr i64 kInnerBound = 256;  // short instances: dispatch-dominated
 constexpr Cycles kBodyCost = 10;
@@ -176,28 +170,9 @@ int main(int argc, char** argv) {
       "group halves every home range without removing any premium) and "
       "lands between flat and G=4.\n");
 
-  if (!json_path.empty()) {
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"bench_shard_scale\",\n");
-    std::fprintf(f, "  \"deterministic\": true,\n  \"metrics\": [\n");
-    for (std::size_t i = 0; i < metrics.size(); ++i) {
-      const Metric& mt = metrics[i];
-      std::fprintf(f,
-                   "    {\"name\": \"%s\", \"value\": %.6g, \"unit\": "
-                   "\"%s\", \"better\": \"%s\", \"deterministic\": true, "
-                   "\"gate\": %s}%s\n",
-                   mt.name.c_str(), mt.value, mt.unit, mt.better,
-                   mt.gate ? "true" : "false",
-                   i + 1 < metrics.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("wrote %s (%zu metrics)\n", json_path.c_str(),
-                metrics.size());
+  if (!json_path.empty() &&
+      !bench::write_json(json_path, "bench_shard_scale", true, metrics)) {
+    return 1;
   }
   return accept_ok ? 0 : 1;
 }

@@ -67,6 +67,45 @@ inline std::string fmt(i64 v) { return std::to_string(v); }
 inline std::string fmt(u64 v) { return std::to_string(v); }
 inline std::string fmt(u32 v) { return std::to_string(v); }
 
+/// One metric of a bench's --json document (selfsched-bench/v1, see
+/// docs/benchmarking.md).
+struct Metric {
+  std::string name;
+  double value;
+  const char* unit;
+  const char* better;  // "less" | "more"
+  bool gate = false;   // compared against the committed baseline in CI
+};
+
+/// Write `metrics` as bench `bench`'s --json document at `path`; every
+/// metric carries the bench-wide `deterministic` flag.  Returns false
+/// (after saying so on stderr) if the file cannot be written.
+inline bool write_json(const std::string& path, const char* bench,
+                       bool deterministic, const std::vector<Metric>& metrics) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
+  }
+  const char* det = deterministic ? "true" : "false";
+  std::fprintf(f, "{\n  \"bench\": \"%s\",\n", bench);
+  std::fprintf(f, "  \"deterministic\": %s,\n  \"metrics\": [\n", det);
+  for (std::size_t i = 0; i < metrics.size(); ++i) {
+    const Metric& mt = metrics[i];
+    std::fprintf(f,
+                 "    {\"name\": \"%s\", \"value\": %.6g, \"unit\": "
+                 "\"%s\", \"better\": \"%s\", \"deterministic\": %s, "
+                 "\"gate\": %s}%s\n",
+                 mt.name.c_str(), mt.value, mt.unit, mt.better, det,
+                 mt.gate ? "true" : "false",
+                 i + 1 < metrics.size() ? "," : "");
+  }
+  std::fprintf(f, "  ]\n}\n");
+  std::fclose(f);
+  std::printf("wrote %s (%zu metrics)\n", path.c_str(), metrics.size());
+  return true;
+}
+
 inline void banner(const char* experiment, const char* claim) {
   std::printf("\n==============================================================\n");
   std::printf("%s\n", experiment);

@@ -38,6 +38,33 @@ const char* icb_state_name(IcbState s) {
 
 Auditor::Shadow& Auditor::shadow(const void* icb) { return icbs_[icb]; }
 
+Auditor::Shadow* Auditor::generation_shadow(ProcId w, const void* icb,
+                                            u64 gen, u32& v) {
+  Shadow& s = shadow(icb);
+  if (gen != 0 && gen == s.serial) return &s;
+  if (gen == 0 || gen > next_serial_) {
+    v += violate(&s, w, "unknown-generation",
+                 fmt("hook names ICB generation %llu; %llu issued",
+                     static_cast<unsigned long long>(gen),
+                     static_cast<unsigned long long>(next_serial_)));
+    return nullptr;
+  }
+  Shadow& r = retired_[gen];
+  r.serial = gen;
+  r.retired = true;
+  return &r;
+}
+
+void Auditor::settle(u64 gen, const Shadow& s) {
+  if (s.retired && s.attach_balance == 0) retired_.erase(gen);
+}
+
+u64 Auditor::generation(const void* icb) const {
+  std::lock_guard lk(mu_);
+  const auto it = icbs_.find(icb);
+  return it == icbs_.end() ? 0 : it->second.serial;
+}
+
 u32 Auditor::violate(const Shadow* s, ProcId w, const char* rule,
                      std::string detail) {
   ++violation_count_;
@@ -64,6 +91,13 @@ u32 Auditor::on_acquire(ProcId w, const void* icb) {
   if (s.state != IcbState::kFree && s.state != IcbState::kReleased) {
     v += violate(&s, w, "acquire-live-icb",
                  fmt("ICB re-acquired while %s", icb_state_name(s.state)));
+  }
+  if (s.attach_balance != 0) {
+    // A detach of the previous generation is still in flight: keep its
+    // balance open under its own serial.
+    Shadow& r = retired_[s.serial];
+    r = s;
+    r.retired = true;
   }
   s.state = IcbState::kAcquired;
   s.serial = ++next_serial_;
@@ -129,26 +163,32 @@ u32 Auditor::on_attach(ProcId w, const void* icb) {
   return v;
 }
 
-u32 Auditor::on_attach_revoked(ProcId w, const void* icb) {
+u32 Auditor::on_attach_revoked(ProcId w, const void* icb, u64 gen) {
   std::lock_guard lk(mu_);
   ++events_;
-  Shadow& s = shadow(icb);
-  --s.attach_balance;
-  (void)w;
-  return 0;
+  u32 v = 0;
+  if (Shadow* s = generation_shadow(w, icb, gen, v)) {
+    --s->attach_balance;
+    settle(gen, *s);
+  }
+  return v;
 }
 
-u32 Auditor::on_detach(ProcId w, const void* icb, i64 pcount_before) {
+u32 Auditor::on_detach(ProcId w, const void* icb, i64 pcount_before,
+                       u64 gen) {
   std::lock_guard lk(mu_);
   ++events_;
-  Shadow& s = shadow(icb);
-  --s.attach_balance;
+  u32 v = 0;
+  Shadow* s = generation_shadow(w, icb, gen, v);
+  if (s == nullptr) return v;
+  --s->attach_balance;
   if (pcount_before < 1) {
-    return violate(&s, w, "pcount-negative",
-                   fmt("detach decremented pcount from %lld",
-                       static_cast<long long>(pcount_before)));
+    v += violate(s, w, "pcount-negative",
+                 fmt("detach decremented pcount from %lld",
+                     static_cast<long long>(pcount_before)));
   }
-  return 0;
+  settle(gen, *s);
+  return v;
 }
 
 u32 Auditor::on_dispatch(ProcId w, const void* icb, i64 first, i64 count) {
@@ -512,6 +552,11 @@ u32 Auditor::on_quiescence(bool pool_empty, u64 live_bar_counters,
                        static_cast<long long>(s.attach_balance)));
     }
   }
+  for (const auto& [serial, s] : retired_) {
+    v += violate(&s, 0, "pcount-not-drained",
+                 fmt("attach/detach balance %lld at quiescence",
+                     static_cast<long long>(s.attach_balance)));
+  }
   return v;
 }
 
@@ -523,6 +568,7 @@ void Auditor::arm_double_release(LoopId loop) {
 void Auditor::reset() {
   std::lock_guard lk(mu_);
   icbs_.clear();
+  retired_.clear();
   next_serial_ = 0;
   events_ = 0;
   violation_count_ = 0;

@@ -84,9 +84,18 @@ class Auditor {
   /// Successful {pcount < bound ; Increment} in SEARCH (under the list lock).
   u32 on_attach(ProcId w, const void* icb);
   /// Post-attach re-check failed: the attach was revoked before dispatch.
-  u32 on_attach_revoked(ProcId w, const void* icb);
-  /// {pcount ; Decrement}; `pcount_before` is the fetched value.
-  u32 on_detach(ProcId w, const void* icb, i64 pcount_before);
+  /// `gen` is generation(icb) read before the revoking Decrement.
+  u32 on_attach_revoked(ProcId w, const void* icb, u64 gen);
+  /// {pcount ; Decrement}; `pcount_before` is the fetched value and `gen`
+  /// is generation(icb) read before the op.  The Decrement can let the
+  /// completer release (and a new activation recycle) the ICB before this
+  /// hook lands, so the hook is applied to the generation it names, never
+  /// to whichever generation the address holds by then.  A generation this
+  /// auditor never issued is the "unknown-generation" rule.
+  u32 on_detach(ProcId w, const void* icb, i64 pcount_before, u64 gen);
+  /// The generation number on_acquire assigned to the ICB at `icb` (0 if
+  /// it was never acquired).
+  u64 generation(const void* icb) const;
   /// Successful low-level grab of [first, first+count).
   u32 on_dispatch(ProcId w, const void* icb, i64 first, i64 count);
   /// Successful grab of [first, first+count) from shard `shard` of a sharded
@@ -189,15 +198,26 @@ class Auditor {
     std::vector<i64> shard_granted;    // iterations granted per shard
     std::vector<i64> shard_exhausted;  // exhaust hooks seen per shard
     i64 shard_elections = 0;           // elected exhausts (must end at 1)
+    bool retired = false;  // a recycled generation kept in retired_
   };
 
   Shadow& shadow(const void* icb);  // caller holds mu_
+  /// The shadow of generation `gen` of `icb`: the live one, or a retired
+  /// generation's; nullptr (after recording the violation in `v`) for a
+  /// generation never issued.  Caller holds mu_.
+  Shadow* generation_shadow(ProcId w, const void* icb, u64 gen, u32& v);
+  /// Drop a retired generation once its attach balance is back to zero.
+  void settle(u64 gen, const Shadow& s);  // caller holds mu_
   u32 violate(const Shadow* s, ProcId w, const char* rule,
               std::string detail);  // caller holds mu_
   u32 release_locked(ProcId w, const void* icb);
 
   mutable std::mutex mu_;
   std::unordered_map<const void*, Shadow> icbs_;
+  /// Recycled generations whose attach balance was still open at recycle
+  /// time (a late detach in flight), keyed by serial.  Settled entries are
+  /// dropped; what remains at quiescence is a real imbalance.
+  std::unordered_map<u64, Shadow> retired_;
   u64 next_serial_ = 0;
   u64 events_ = 0;
   u64 violation_count_ = 0;

@@ -1,12 +1,9 @@
-// Invariant-auditor instrumentation hooks, mirroring trace/recorder.hpp's
-// pattern: the scheduler templates call the named wrappers below; a context
-// opts in by providing
-//
-//     audit::Auditor* audit_sink()
-//
-// (both RContext and VContext do).  A context without the accessor — or a
-// build configured with -DSELFSCHED_AUDIT=0 — compiles every hook away to
-// nothing, which bench_audit_overhead verifies (≤1.01x of a bare build).
+// Invariant-auditor instrumentation hooks.  The scheduler templates call the
+// named wrappers below; each hands its Auditor call to deliver(), which
+// reaches the auditor through the instrumentation seam
+// (`ctx.instruments().auditor`, exec/instruments.hpp).  A context without
+// the seam — or a build configured with -DSELFSCHED_AUDIT=0 — compiles
+// every hook away to nothing, which bench_hook_overhead measures.
 //
 // Layering: this header depends only on audit/auditor.hpp and trace/ (for
 // counter folding); the runtime headers include it, never the reverse.
@@ -17,6 +14,7 @@
 
 #include "audit/auditor.hpp"
 #include "common/types.hpp"
+#include "exec/instruments.hpp"
 #include "trace/recorder.hpp"
 
 #ifndef SELFSCHED_AUDIT
@@ -25,70 +23,56 @@
 
 namespace selfsched::audit {
 
-template <typename C>
-concept AuditableContext = requires(C& ctx) {
-  { ctx.audit_sink() };
-};
-
 /// Host-side read of a context synchronization variable — no sync_op, so no
 /// virtual-time charge and no schedule perturbation.  Sound only where the
 /// caller already owns the ordering (inside the lock protecting the value,
 /// or at quiescence after every worker has joined).
 template <typename S>
 inline i64 sync_peek(S& s) {
-  if constexpr (requires { s.load(); }) {
-    return s.load();
-  } else {
-    return s.v;
+  return s.load();
+}
+
+/// The one delivery path every hook shares: enabled build + instrumented
+/// context + installed auditor, else a constant-folded no-op.  `call` runs
+/// the Auditor method; the delivery (and any violations it recorded) is
+/// folded into the trace counters so audited runs report audit_* next to
+/// the protocol counters.
+template <typename C, typename Call>
+inline void deliver(C& ctx, Call&& call) {
+  if constexpr (SELFSCHED_AUDIT && exec::InstrumentedContext<C>) {
+    if (Auditor* a = ctx.instruments().auditor) {
+      const u32 violations = call(*a);
+      trace::bump(ctx, &trace::Counters::audit_events);
+      if (violations != 0) {
+        trace::bump(ctx, &trace::Counters::audit_violations, violations);
+      }
+    }
   }
 }
 
-namespace detail {
-
-/// Fold one hook delivery (and any violations it recorded) into the trace
-/// counters so audited runs report audit_* next to the protocol counters.
+/// The ICB's current audit generation, read on the host before an op that
+/// may let the ICB be released and recycled (the pcount Decrement), so the
+/// hook that follows the op names the generation it belongs to.  0 when
+/// the auditor is off.
 template <typename C>
-inline void account(C& ctx, u32 violations) {
-  trace::bump(ctx, &trace::Counters::audit_events);
-  if (violations != 0) {
-    trace::bump(ctx, &trace::Counters::audit_violations, violations);
+inline u64 generation(C& ctx, const void* icb) {
+  if constexpr (SELFSCHED_AUDIT && exec::InstrumentedContext<C>) {
+    if (Auditor* a = ctx.instruments().auditor) return a->generation(icb);
   }
+  return 0;
 }
-
-}  // namespace detail
-
-// Every wrapper has the same shape: enabled build + auditable context +
-// installed sink, else a constant-folded no-op.
-#if SELFSCHED_AUDIT
-#define SELFSCHED_AUDIT_HOOK_BODY(call)          \
-  if constexpr (AuditableContext<C>) {           \
-    if (Auditor* a = ctx.audit_sink()) {         \
-      detail::account(ctx, a->call);             \
-    }                                            \
-  }
-#else
-#define SELFSCHED_AUDIT_HOOK_BODY(call)
-#endif
 
 template <typename C>
 inline void on_acquire(C& ctx, const void* icb) {
-  SELFSCHED_AUDIT_HOOK_BODY(on_acquire(ctx.proc(), icb))
-  (void)ctx;
-  (void)icb;
+  deliver(ctx, [&](Auditor& a) { return a.on_acquire(ctx.proc(), icb); });
 }
 
 template <typename C>
 inline void on_publish(C& ctx, const void* icb, LoopId loop, u64 ivec_hash,
                        i64 bound, u32 list, u32 shards = 1) {
-  SELFSCHED_AUDIT_HOOK_BODY(
-      on_publish(ctx.proc(), icb, loop, ivec_hash, bound, list, shards))
-  (void)ctx;
-  (void)icb;
-  (void)loop;
-  (void)ivec_hash;
-  (void)bound;
-  (void)list;
-  (void)shards;
+  deliver(ctx, [&](Auditor& a) {
+    return a.on_publish(ctx.proc(), icb, loop, ivec_hash, bound, list, shards);
+  });
 }
 
 /// Convenience wrapper over on_publish for call sites holding the ICB
@@ -97,60 +81,47 @@ inline void on_publish(C& ctx, const void* icb, LoopId loop, u64 ivec_hash,
 /// when the hook is live.
 template <typename C, typename IcbT>
 inline void on_publish_icb(C& ctx, const IcbT* ip, u32 list) {
-#if SELFSCHED_AUDIT
-  if constexpr (AuditableContext<C>) {
-    if (Auditor* a = ctx.audit_sink()) {
-      detail::account(
-          ctx, a->on_publish(ctx.proc(), ip, ip->loop,
-                             trace::ivec_hash(ip->ivec, ip->depth), ip->bound,
-                             list, ip->num_shards));
-    }
-  }
-#endif
-  (void)ctx;
-  (void)ip;
-  (void)list;
+  deliver(ctx, [&](Auditor& a) {
+    return a.on_publish(ctx.proc(), ip, ip->loop,
+                        trace::ivec_hash(ip->ivec, ip->depth), ip->bound,
+                        list, ip->num_shards);
+  });
 }
 
 template <typename C>
 inline void on_attach(C& ctx, const void* icb) {
-  SELFSCHED_AUDIT_HOOK_BODY(on_attach(ctx.proc(), icb))
-  (void)ctx;
-  (void)icb;
+  deliver(ctx, [&](Auditor& a) { return a.on_attach(ctx.proc(), icb); });
 }
 
+/// `gen` is generation(ctx, icb) read before the revoking Decrement.
 template <typename C>
-inline void on_attach_revoked(C& ctx, const void* icb) {
-  SELFSCHED_AUDIT_HOOK_BODY(on_attach_revoked(ctx.proc(), icb))
-  (void)ctx;
-  (void)icb;
+inline void on_attach_revoked(C& ctx, const void* icb, u64 gen) {
+  deliver(ctx, [&](Auditor& a) {
+    return a.on_attach_revoked(ctx.proc(), icb, gen);
+  });
 }
 
+/// `gen` is generation(ctx, icb) read before the detaching Decrement.
 template <typename C>
-inline void on_detach(C& ctx, const void* icb, i64 pcount_before) {
-  SELFSCHED_AUDIT_HOOK_BODY(on_detach(ctx.proc(), icb, pcount_before))
-  (void)ctx;
-  (void)icb;
-  (void)pcount_before;
+inline void on_detach(C& ctx, const void* icb, i64 pcount_before, u64 gen) {
+  deliver(ctx, [&](Auditor& a) {
+    return a.on_detach(ctx.proc(), icb, pcount_before, gen);
+  });
 }
 
 template <typename C>
 inline void on_dispatch(C& ctx, const void* icb, i64 first, i64 count) {
-  SELFSCHED_AUDIT_HOOK_BODY(on_dispatch(ctx.proc(), icb, first, count))
-  (void)ctx;
-  (void)icb;
-  (void)first;
-  (void)count;
+  deliver(ctx, [&](Auditor& a) {
+    return a.on_dispatch(ctx.proc(), icb, first, count);
+  });
 }
 
 template <typename C>
 inline void on_complete(C& ctx, const void* icb, i64 icount_before,
                         i64 count) {
-  SELFSCHED_AUDIT_HOOK_BODY(on_complete(ctx.proc(), icb, icount_before, count))
-  (void)ctx;
-  (void)icb;
-  (void)icount_before;
-  (void)count;
+  deliver(ctx, [&](Auditor& a) {
+    return a.on_complete(ctx.proc(), icb, icount_before, count);
+  });
 }
 
 /// Successful grab of [first, first+count) from shard `shard` of a sharded
@@ -158,14 +129,9 @@ inline void on_complete(C& ctx, const void* icb, i64 icount_before,
 template <typename C>
 inline void on_shard_grant(C& ctx, const void* icb, u32 shard, i64 first,
                            i64 count, bool stolen) {
-  SELFSCHED_AUDIT_HOOK_BODY(
-      on_shard_grant(ctx.proc(), icb, shard, first, count, stolen))
-  (void)ctx;
-  (void)icb;
-  (void)shard;
-  (void)first;
-  (void)count;
-  (void)stolen;
+  deliver(ctx, [&](Auditor& a) {
+    return a.on_shard_grant(ctx.proc(), icb, shard, first, count, stolen);
+  });
 }
 
 /// The grab above took shard `shard`'s final iteration; `elected` marks the
@@ -173,46 +139,33 @@ inline void on_shard_grant(C& ctx, const void* icb, u32 shard, i64 first,
 template <typename C>
 inline void on_shard_exhaust(C& ctx, const void* icb, u32 shard,
                              bool elected) {
-  SELFSCHED_AUDIT_HOOK_BODY(on_shard_exhaust(ctx.proc(), icb, shard, elected))
-  (void)ctx;
-  (void)icb;
-  (void)shard;
-  (void)elected;
+  deliver(ctx, [&](Auditor& a) {
+    return a.on_shard_exhaust(ctx.proc(), icb, shard, elected);
+  });
 }
 
 template <typename C>
 inline void on_unlink(C& ctx, const void* icb) {
-  SELFSCHED_AUDIT_HOOK_BODY(on_unlink(ctx.proc(), icb))
-  (void)ctx;
-  (void)icb;
+  deliver(ctx, [&](Auditor& a) { return a.on_unlink(ctx.proc(), icb); });
 }
 
 template <typename C>
 inline void on_release(C& ctx, const void* icb) {
-  SELFSCHED_AUDIT_HOOK_BODY(on_release(ctx.proc(), icb))
-  (void)ctx;
-  (void)icb;
+  deliver(ctx, [&](Auditor& a) { return a.on_release(ctx.proc(), icb); });
 }
 
 template <typename C>
 inline void on_da_post(C& ctx, const void* icb, i64 j) {
-  SELFSCHED_AUDIT_HOOK_BODY(on_da_post(ctx.proc(), icb, j))
-  (void)ctx;
-  (void)icb;
-  (void)j;
+  deliver(ctx, [&](Auditor& a) { return a.on_da_post(ctx.proc(), icb, j); });
 }
 
 template <typename C>
 inline void on_bar_count(C& ctx, u32 loop_uid, bool created, i64 count,
                          i64 bound, bool tripped) {
-  SELFSCHED_AUDIT_HOOK_BODY(
-      on_bar_count(ctx.proc(), loop_uid, created, count, bound, tripped))
-  (void)ctx;
-  (void)loop_uid;
-  (void)created;
-  (void)count;
-  (void)bound;
-  (void)tripped;
+  deliver(ctx, [&](Auditor& a) {
+    return a.on_bar_count(ctx.proc(), loop_uid, created, count, bound,
+                          tripped);
+  });
 }
 
 /// One batched-ENTER flush: `batch_size` sibling ICBs about to be
@@ -220,91 +173,66 @@ inline void on_bar_count(C& ctx, u32 loop_uid, bool created, i64 count,
 /// into a single Increment-by-`outstanding_delta` sync op.
 template <typename C>
 inline void on_enter_batch(C& ctx, u64 batch_size, i64 outstanding_delta) {
-  SELFSCHED_AUDIT_HOOK_BODY(
-      on_enter_batch(ctx.proc(), batch_size, outstanding_delta))
-  (void)ctx;
-  (void)batch_size;
-  (void)outstanding_delta;
+  deliver(ctx, [&](Auditor& a) {
+    return a.on_enter_batch(ctx.proc(), batch_size, outstanding_delta);
+  });
 }
 
 /// Batched-ENTER BAR_COUNT coalescing: one activator pre-created (or
 /// found) the sibling set's barrier counter before any arrival.
 template <typename C>
 inline void on_bar_prepare(C& ctx, u32 loop_uid, bool created) {
-  SELFSCHED_AUDIT_HOOK_BODY(on_bar_prepare(ctx.proc(), loop_uid, created))
-  (void)ctx;
-  (void)loop_uid;
-  (void)created;
+  deliver(ctx, [&](Auditor& a) {
+    return a.on_bar_prepare(ctx.proc(), loop_uid, created);
+  });
 }
 
 template <typename C>
 inline void on_terminate(C& ctx) {
-  SELFSCHED_AUDIT_HOOK_BODY(on_terminate(ctx.proc()))
-  (void)ctx;
+  deliver(ctx, [&](Auditor& a) { return a.on_terminate(ctx.proc()); });
 }
 
 template <typename C>
 inline void on_cancel(C& ctx) {
-  SELFSCHED_AUDIT_HOOK_BODY(on_cancel(ctx.proc()))
-  (void)ctx;
+  deliver(ctx, [&](Auditor& a) { return a.on_cancel(ctx.proc()); });
 }
 
-#undef SELFSCHED_AUDIT_HOOK_BODY
+/// What is structurally wrong with one task-pool list (empty if nothing):
+/// head/tail agreement, left/right back-link consistency, cycle
+/// boundedness, and SW-bit/list-emptiness agreement.
+template <typename Node>
+std::string list_problem(const Node* head, const Node* tail, bool sw_bit) {
+  if ((head == nullptr) != (tail == nullptr)) {
+    return "one of head/tail null, the other not";
+  }
+  if (sw_bit != (head != nullptr)) {
+    return head != nullptr ? "SW bit clear on a non-empty list"
+                           : "SW bit set on an empty list";
+  }
+  constexpr std::size_t kMaxSteps = std::size_t{1} << 22;
+  const Node* prev = nullptr;
+  std::size_t steps = 0;
+  for (const Node* p = head; p != nullptr; p = p->right) {
+    if (p->left != prev) return "left back-link does not match the predecessor";
+    if (++steps > kMaxSteps) return "walk exceeded the step bound (cycle?)";
+    prev = p;
+  }
+  return prev != tail ? "forward walk did not end at tail" : "";
+}
 
 /// Structural check of one task-pool list, called while its lock is still
 /// held (so the walk is race-free) right after a lock region restored the
-/// control word: head/tail agreement, left/right back-link consistency,
-/// cycle boundedness, and SW-bit/list-emptiness agreement.  `sw_bit_fn` is
-/// invoked (only when the hook is live) to host-side-peek SW(list) — all
-/// SW(list) mutations happen under list `list`'s lock, so the peek is exact
-/// here.
+/// control word.  `sw_bit_fn` is invoked (only when the hook is live) to
+/// host-side-peek SW(list) — all SW(list) mutations happen under list
+/// `list`'s lock, so the peek is exact here.
 template <typename C, typename Node, typename SwBitFn>
 inline void check_list(C& ctx, u32 list, const Node* head, const Node* tail,
                        SwBitFn&& sw_bit_fn) {
-#if SELFSCHED_AUDIT
-  if constexpr (AuditableContext<C>) {
-    Auditor* a = ctx.audit_sink();
-    if (a == nullptr) return;
-    const bool sw_bit = sw_bit_fn();
-    std::string problem;
-    if ((head == nullptr) != (tail == nullptr)) {
-      problem = "one of head/tail null, the other not";
-    } else if (sw_bit != (head != nullptr)) {
-      problem = head != nullptr ? "SW bit clear on a non-empty list"
-                                : "SW bit set on an empty list";
-    } else {
-      constexpr std::size_t kMaxSteps = std::size_t{1} << 22;
-      const Node* prev = nullptr;
-      const Node* p = head;
-      std::size_t steps = 0;
-      while (p != nullptr) {
-        if (p->left != prev) {
-          problem = "left back-link does not match the predecessor";
-          break;
-        }
-        if (++steps > kMaxSteps) {
-          problem = "walk exceeded the step bound (cycle?)";
-          break;
-        }
-        prev = p;
-        p = p->right;
-      }
-      if (problem.empty() && prev != tail) {
-        problem = "forward walk did not end at tail";
-      }
-    }
-    if (!problem.empty()) {
-      detail::account(ctx, a->on_list_violation(ctx.proc(), list, problem));
-    } else {
-      detail::account(ctx, 0);
-    }
-  }
-#endif
-  (void)ctx;
-  (void)list;
-  (void)head;
-  (void)tail;
-  (void)sw_bit_fn;
+  deliver(ctx, [&](Auditor& a) -> u32 {
+    const std::string problem = list_problem(head, tail, sw_bit_fn());
+    return problem.empty() ? 0 : a.on_list_violation(ctx.proc(), list,
+                                                     problem);
+  });
 }
 
 }  // namespace selfsched::audit

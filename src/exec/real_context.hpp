@@ -12,16 +12,8 @@
 #include "common/cpu_relax.hpp"
 #include "common/types.hpp"
 #include "exec/context.hpp"
+#include "exec/instruments.hpp"
 #include "sync/sync_var.hpp"
-#include "trace/recorder.hpp"
-
-namespace selfsched::audit {
-class Auditor;
-}
-
-namespace selfsched::fault {
-struct FaultPlan;
-}
 
 namespace selfsched::exec {
 
@@ -98,27 +90,15 @@ class RContext {
 
   WorkerStats& stats() { return stats_; }
 
-  /// Install this worker's trace sink; `epoch` is the team-wide timestamp
-  /// origin (trace_now() = nanoseconds since it).
-  void set_trace_sink(trace::WorkerSink* sink,
-                      std::chrono::steady_clock::time_point epoch) {
-    trace_sink_ = sink;
-    trace_epoch_ = epoch;
-  }
-  trace::WorkerSink* trace_sink() const { return trace_sink_; }
+  /// The instrumentation seam (exec/instruments.hpp); trace_now() is
+  /// nanoseconds since the installed epoch.
+  void set_instruments(const Instruments& in) { instruments_ = in; }
+  const Instruments& instruments() const { return instruments_; }
   Cycles trace_now() const {
     return std::chrono::duration_cast<std::chrono::nanoseconds>(
-               Clock::now() - trace_epoch_)
+               Clock::now() - instruments_.epoch)
         .count();
   }
-
-  /// Audit hook point (audit/hooks.hpp).
-  void set_audit_sink(audit::Auditor* sink) { audit_sink_ = sink; }
-  audit::Auditor* audit_sink() const { return audit_sink_; }
-
-  /// Fault-injection hook point (runtime/fault.hpp).
-  void set_fault_plan(fault::FaultPlan* plan) { fault_plan_ = plan; }
-  fault::FaultPlan* fault_plan() const { return fault_plan_; }
 
  private:
   using Clock = std::chrono::steady_clock;
@@ -129,10 +109,7 @@ class RContext {
   Phase phase_ = Phase::kOther;
   Clock::time_point mark_;
   WorkerStats stats_;
-  trace::WorkerSink* trace_sink_ = nullptr;
-  audit::Auditor* audit_sink_ = nullptr;
-  fault::FaultPlan* fault_plan_ = nullptr;
-  Clock::time_point trace_epoch_{};
+  Instruments instruments_;
   u64 sink_ = 0;
 };
 

@@ -1,15 +1,12 @@
 // Fault-tolerance primitives: deterministic fault injection, structured
 // failure records, and the shared cancellation state of one run.
 //
-// Injection mirrors the trace/audit compile-out pattern: the scheduler
-// templates call the hooks below; a context opts in by providing
-//
-//     fault::FaultPlan* fault_plan()
-//
-// (both RContext and VContext do).  A context without the accessor — or a
-// build configured with -DSELFSCHED_FAULT=0 — compiles every hook away to
-// nothing, which bench_fault_overhead verifies.  With a plan installed but
-// no armed specs matching, each hook is one branch on a pointer.
+// Injection is one subscriber of the instrumentation seam
+// (exec/instruments.hpp): the hooks below reach the armed plan through
+// `ctx.instruments().faults`.  A context without the seam — or a build
+// configured with -DSELFSCHED_FAULT=0 — compiles every hook away to
+// nothing, which bench_hook_overhead measures.  With no plan installed
+// each hook is one branch on a pointer.
 //
 // Determinism: a fault fires as a pure function of per-worker scheduler
 // state (which worker executes which (loop, ivec, j) point, the per-worker
@@ -32,6 +29,7 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "exec/instruments.hpp"
 #include "trace/recorder.hpp"
 
 #ifndef SELFSCHED_FAULT
@@ -39,11 +37,6 @@
 #endif
 
 namespace selfsched::fault {
-
-template <typename C>
-concept FaultableContext = requires(C& ctx) {
-  { ctx.fault_plan() };
-};
 
 enum class FaultKind : u32 {
   kBodyThrow,    // throw from inside an iteration body
@@ -323,9 +316,8 @@ struct CancelState {
 template <typename C>
 inline FaultSpec* match_body(C& ctx, LoopId loop, const IndexVec& ivec,
                              u32 depth, i64 j) {
-#if SELFSCHED_FAULT
-  if constexpr (FaultableContext<C>) {
-    FaultPlan* plan = ctx.fault_plan();
+  if constexpr (SELFSCHED_FAULT && exec::InstrumentedContext<C>) {
+    FaultPlan* plan = ctx.instruments().faults;
     if (plan == nullptr) return nullptr;
     for (FaultSpec& s : plan->specs) {
       if (s.kind == FaultKind::kLockDelay ||
@@ -360,12 +352,6 @@ inline FaultSpec* match_body(C& ctx, LoopId loop, const IndexVec& ivec,
       return &s;
     }
   }
-#endif
-  (void)ctx;
-  (void)loop;
-  (void)ivec;
-  (void)depth;
-  (void)j;
   return nullptr;
 }
 
@@ -373,9 +359,8 @@ inline FaultSpec* match_body(C& ctx, LoopId loop, const IndexVec& ivec,
 /// this worker pauses it `cycles` before the `lock_seq`-th acquisition.
 template <typename C>
 inline void on_lock(C& ctx) {
-#if SELFSCHED_FAULT
-  if constexpr (FaultableContext<C>) {
-    FaultPlan* plan = ctx.fault_plan();
+  if constexpr (SELFSCHED_FAULT && exec::InstrumentedContext<C>) {
+    FaultPlan* plan = ctx.instruments().faults;
     if (plan == nullptr) return;
     for (FaultSpec& s : plan->specs) {
       if (s.kind != FaultKind::kLockDelay) continue;
@@ -393,8 +378,6 @@ inline void on_lock(C& ctx) {
       }
     }
   }
-#endif
-  (void)ctx;
 }
 
 }  // namespace selfsched::fault

@@ -839,8 +839,9 @@ SearchOutcome search_until(C& ctx, SchedState<C>& st, WorkerCursor<C>& cursor,
           attached = true;
           break;
         }
+        const u64 gen = audit::generation(ctx, ip);
         ctx.sync_op(ip->pcount, Test::kNone, 0, Op::kDecrement);
-        audit::on_attach_revoked(ctx, ip);
+        audit::on_attach_revoked(ctx, ip, gen);
         trace::bump(ctx, &trace::Counters::search_retries);
       }
       ip = ip->right;

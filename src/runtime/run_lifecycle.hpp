@@ -25,6 +25,7 @@
 #include "audit/auditor.hpp"
 #include "audit/hooks.hpp"
 #include "exec/context.hpp"
+#include "exec/instruments.hpp"
 #include "runtime/high_level.hpp"
 #include "runtime/options.hpp"
 #include "runtime/stats.hpp"
@@ -41,15 +42,13 @@ inline void harvest_trace(const trace::Recorder& rec, RunResult& r) {
 /// SELFSCHED_AUDIT=1 in the environment audits every run in the process —
 /// how the CI audit job and `check.sh --audit` audit a whole ctest suite
 /// without touching any test.
-#if SELFSCHED_AUDIT
 inline bool audit_env_enabled() {
   const char* e = std::getenv("SELFSCHED_AUDIT");
   return e != nullptr && e[0] != '\0' && !(e[0] == '0' && e[1] == '\0');
 }
-#endif
 
 /// The run's auditor: the caller-provided external one, a run-internal one
-/// when auditing is requested, or none.
+/// when auditing is requested, or none (always none with SELFSCHED_AUDIT=0).
 struct AuditSetup {
   std::unique_ptr<audit::Auditor> owned;
   audit::Auditor* sink = nullptr;
@@ -57,15 +56,12 @@ struct AuditSetup {
 
 inline AuditSetup make_audit(const SchedOptions& opts) {
   AuditSetup s;
-#if SELFSCHED_AUDIT
+  if (!SELFSCHED_AUDIT) return s;
   s.sink = opts.audit_sink;
   if (s.sink == nullptr && (opts.audit || audit_env_enabled())) {
     s.owned = std::make_unique<audit::Auditor>();
     s.sink = s.owned.get();
   }
-#else
-  (void)opts;
-#endif
   return s;
 }
 
@@ -74,19 +70,12 @@ inline AuditSetup make_audit(const SchedOptions& opts) {
 template <typename C>
 void finish_audit(audit::Auditor* auditor, SchedState<C>& st,
                   const SchedOptions& opts, RunResult& r) {
-#if SELFSCHED_AUDIT
   if (auditor == nullptr) return;
   auditor->on_quiescence(st.pool.empty(), st.bars.live_counters(),
                          audit::sync_peek(st.outstanding));
   r.audit_violations = auditor->violation_count();
   r.audit_report = auditor->report(r.schedule_decisions);
   SS_CHECK_MSG(!opts.audit_abort || r.audit_violations == 0, r.audit_report);
-#else
-  (void)auditor;
-  (void)st;
-  (void)opts;
-  (void)r;
-#endif
 }
 
 /// Post-drain failure harvest for a cancelled run: copy the claimed failure
@@ -170,6 +159,12 @@ struct ProgramRun {
   void arm_deadline(std::chrono::steady_clock::time_point when) {
     st.cancel.host_deadline_armed = true;
     st.cancel.host_deadline = when;
+  }
+
+  /// Worker `id`'s instrumentation seam: its trace sink, the run's auditor
+  /// and the armed fault plan.  Install with ctx.set_instruments().
+  exec::Instruments instruments(ProcId id) {
+    return {&rec.sink(id), rec.epoch(), auditing.sink, st.opts.fault_plan};
   }
 
   /// Drain the namespace into a RunResult.  Call only after every worker

@@ -29,9 +29,7 @@ RunResult run_vtime(const program::NestedLoopProgram& prog, u32 procs,
 
   const Cycles makespan = engine.run([&](ProcId id) {
     vtime::VContext ctx(engine, id, opts.costs, opts.phase_timeline);
-    ctx.set_trace_sink(&run.rec.sink(id));
-    ctx.set_audit_sink(run.auditing.sink);
-    ctx.set_fault_plan(opts.fault_plan);
+    ctx.set_instruments(run.instruments(id));
     if (id == 0) seed_program(ctx, run.st);
     worker_loop(ctx, run.st);
     ctx.finish_timeline();
@@ -64,9 +62,7 @@ RunResult run_threads_impl(const program::NestedLoopProgram& prog, u32 procs,
 
   dispatch([&](ProcId id) {
     exec::RContext ctx(id, procs, opts.measure_phases);
-    ctx.set_trace_sink(&run.rec.sink(id), run.rec.epoch());
-    ctx.set_audit_sink(run.auditing.sink);
-    ctx.set_fault_plan(opts.fault_plan);
+    ctx.set_instruments(run.instruments(id));
     start_line.arrive_and_wait();
     if (id == 0) {
       watch.reset();  // time from the moment the full team is assembled

@@ -126,6 +126,17 @@ void stall_worker(C& ctx, SchedState<C>& st, const fault::FaultSpec& f,
   }
 }
 
+/// {pcount ; Decrement}: leave an instance that this worker will not
+/// complete.  The audit generation is read before the op: the Decrement
+/// can let the completer release and recycle the ICB before the hook lands.
+template <exec::ExecutionContext C>
+void detach(C& ctx, Icb<C>& icb) {
+  const u64 gen = audit::generation(ctx, &icb);
+  const i64 before =
+      ctx.sync_op(icb.pcount, Test::kNone, 0, Op::kDecrement).fetched;
+  audit::on_detach(ctx, &icb, before, gen);
+}
+
 /// How a worker_session ended.
 enum class SessionExit : u32 {
   kDone,   // the program terminated (or was cancelled and drained)
@@ -154,10 +165,7 @@ SessionExit worker_session(C& ctx, SchedState<C>& st,
       // Detach exactly like a failed grab; the instance keeps its other
       // processors and stays findable in the pool.
       exec::PhaseScope<C> phase(ctx, exec::Phase::kIterSync);
-      const i64 before =
-          ctx.sync_op(cursor.ip->pcount, Test::kNone, 0, Op::kDecrement)
-              .fetched;
-      audit::on_detach(ctx, cursor.ip, before);
+      detach(ctx, *cursor.ip);
       return SessionExit::kYield;
     }
     const program::InnermostDesc& d = st.prog->loops[cursor.i];
@@ -178,10 +186,7 @@ SessionExit worker_session(C& ctx, SchedState<C>& st,
       // Instance fully scheduled: detach and look for other work.
       {
         exec::PhaseScope<C> phase(ctx, exec::Phase::kIterSync);
-        const i64 before =
-            ctx.sync_op(cursor.ip->pcount, Test::kNone, 0, Op::kDecrement)
-                .fetched;
-        audit::on_detach(ctx, cursor.ip, before);
+        detach(ctx, *cursor.ip);
       }
       found = search_until(ctx, st, cursor, should_yield);
       continue;
@@ -269,10 +274,7 @@ SessionExit worker_session(C& ctx, SchedState<C>& st,
       // complete, so the post-join drain reclaims it.  Detach and head for
       // the exit through SEARCH.
       exec::PhaseScope<C> phase(ctx, exec::Phase::kIterSync);
-      const i64 before =
-          ctx.sync_op(cursor.ip->pcount, Test::kNone, 0, Op::kDecrement)
-              .fetched;
-      audit::on_detach(ctx, cursor.ip, before);
+      detach(ctx, *cursor.ip);
       found = search_until(ctx, st, cursor, should_yield);
       continue;
     }
@@ -316,10 +318,7 @@ SessionExit worker_session(C& ctx, SchedState<C>& st,
                     .success) {
           deadline_check(ctx, st);
           if (cancel_requested(ctx, st)) {
-            const i64 before =
-                ctx.sync_op(cursor.ip->pcount, Test::kNone, 0, Op::kDecrement)
-                    .fetched;
-            audit::on_detach(ctx, cursor.ip, before);
+            detach(ctx, *cursor.ip);
             released = false;
             break;
           }
@@ -327,7 +326,9 @@ SessionExit worker_session(C& ctx, SchedState<C>& st,
           ctx.pause(backoff.next());
         }
         if (released) {
-          audit::on_detach(ctx, cursor.ip, 1);
+          // Only the completer releases, so the generation is still live.
+          audit::on_detach(ctx, cursor.ip, 1,
+                           audit::generation(ctx, cursor.ip));
           charge_cost<C>(ctx, &vtime::CostModel::icb_release);
           st.icbs.release(ctx, cursor.ip);
           ctx.stats().icbs_released++;
@@ -360,17 +361,37 @@ void worker_loop(C& ctx, SchedState<C>& st) {
 
 /// Seed the program's initial activation (the paper's instrumented prologue)
 /// and handle the degenerate all-constructs-skipped case.
+///
+/// Every other ENTER runs while its activator's own instance still counts
+/// in `outstanding`, so the counter cannot reach 0 mid-walk.  The seed walk
+/// has no such instance: another worker could run and release the first
+/// seeded instance, see `outstanding` reach 0 and end the run while later
+/// siblings are still being published.  So the seed holds one count of its
+/// own across the walk.  It is added on the host before any other worker
+/// can touch the counter (no sync op: vtime runs are unchanged), and the
+/// seed's one closing sync op releases it.
 template <exec::ExecutionContext C>
 void seed_program(C& ctx, SchedState<C>& st) {
   exec::PhaseScope<C> phase(ctx, exec::Phase::kExitEnter);
   IndexVec ivec;
   ivec.resize(st.prog->max_depth);
-  enter(ctx, st, st.prog->entry, 0, ivec);
-  if (ctx.sync_op(st.outstanding, Test::kEQ, 0, Op::kFetch).success) {
-    // Every construct was guarded off or zero-trip: nothing to run.
-    ctx.sync_op(st.done, Test::kNone, 0, Op::kStore, 1);
-    audit::on_terminate(ctx);
+  const auto release_seed_count = [&] {
+    if (ctx.sync_op(st.outstanding, Test::kNone, 0, Op::kDecrement)
+            .fetched == 1) {
+      // Nothing left: every seeded instance already completed, or every
+      // construct was guarded off or zero-trip.
+      ctx.sync_op(st.done, Test::kNone, 0, Op::kStore, 1);
+      audit::on_terminate(ctx);
+    }
+  };
+  st.outstanding.reset(1);
+  try {
+    enter(ctx, st, st.prog->entry, 0, ivec);
+  } catch (...) {
+    release_seed_count();  // let the instances already published drain
+    throw;
   }
+  release_seed_count();
 }
 
 }  // namespace selfsched::runtime

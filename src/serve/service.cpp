@@ -578,9 +578,7 @@ Service::SliceResult Service::run_slice(ProcId id, Submission& sub,
                                         bool do_seed) {
   runtime::ProgramRun<exec::RContext>& run = *sub.run;
   exec::RContext ctx(id, procs_, run.st.opts.measure_phases);
-  ctx.set_trace_sink(&run.rec.sink(id), run.rec.epoch());
-  ctx.set_audit_sink(run.auditing.sink);
-  ctx.set_fault_plan(run.st.opts.fault_plan);
+  ctx.set_instruments(run.instruments(id));
   const Clock::time_point start = Clock::now();
   const u64 cpu_start = thread_cpu_ns();
   const Clock::time_point slice_end =

@@ -4,10 +4,10 @@
 // A Recorder owns one cacheline-padded WorkerSink per processor: an event
 // ring (populated only when SchedOptions::trace_events is set) plus the
 // always-on metric counters.  Execution contexts carry a WorkerSink pointer
-// (set by the runners in runtime/scheduler.cpp); the hooks below reach it
-// through `ctx.trace_sink()` and timestamp events with `ctx.trace_now()` —
-// virtual cycles on the vtime engine, nanoseconds since the recorder epoch
-// on real threads.  The same instrumented scheduler source therefore emits
+// in their instrumentation seam (exec/instruments.hpp); the hooks below
+// reach it through `ctx.instruments().trace` and timestamp events with
+// `ctx.trace_now()` — virtual cycles on the vtime engine, nanoseconds since
+// the recorder epoch on real threads.  The same instrumented scheduler source therefore emits
 // the same event stream from both engines.
 //
 // Cost discipline:
@@ -15,8 +15,8 @@
 //   * events off: one branch per would-be event (no clock read);
 //   * events on (vtime): clock reads do not advance virtual time, so the
 //     simulated run is bit-identical with tracing on or off;
-//   * SELFSCHED_TRACE=0, or a context without trace accessors: every hook
-//     is a constant-folded no-op.
+//   * SELFSCHED_TRACE=0, or a context without the seam: every hook is a
+//     constant-folded no-op.
 #pragma once
 
 #include <algorithm>
@@ -27,6 +27,7 @@
 #include "common/cacheline.hpp"
 #include "common/small_vec.hpp"
 #include "common/types.hpp"
+#include "exec/instruments.hpp"
 #include "trace/counters.hpp"
 #include "trace/ring.hpp"
 
@@ -99,17 +100,9 @@ class Recorder {
 };
 
 // ---------------------------------------------------------------------------
-// Hooks.  Templated on the execution context; a context opts in by providing
-//   trace::WorkerSink* trace_sink()   and   Cycles trace_now()
-// (both RContext and VContext do).  A context without them — or a build with
-// SELFSCHED_TRACE=0 — compiles every hook away.
+// Hooks.  Templated on the execution context; live only for an
+// exec::InstrumentedContext with a sink installed.
 // ---------------------------------------------------------------------------
-
-template <typename C>
-concept TraceableContext = requires(C& ctx) {
-  { ctx.trace_sink() };
-  { ctx.trace_now() };
-};
 
 /// Sentinel returned by event_begin when no event should be recorded.
 inline constexpr Cycles kTraceOff = -1;
@@ -117,27 +110,18 @@ inline constexpr Cycles kTraceOff = -1;
 /// Add to one metric counter.
 template <typename C>
 inline void bump(C& ctx, u64 Counters::* m, u64 n = 1) {
-#if SELFSCHED_TRACE
-  if constexpr (TraceableContext<C>) {
-    if (WorkerSink* s = ctx.trace_sink()) s->counters.*m += n;
+  if constexpr (SELFSCHED_TRACE && exec::InstrumentedContext<C>) {
+    if (WorkerSink* s = ctx.instruments().trace) s->counters.*m += n;
   }
-#endif
-  (void)ctx;
-  (void)m;
-  (void)n;
 }
 
 /// Start timestamp for an event, or kTraceOff when events are disabled.
 template <typename C>
 inline Cycles event_begin(C& ctx) {
-#if SELFSCHED_TRACE
-  if constexpr (TraceableContext<C>) {
-    if (WorkerSink* s = ctx.trace_sink(); s != nullptr && s->events_on) {
-      return ctx.trace_now();
-    }
+  if constexpr (SELFSCHED_TRACE && exec::InstrumentedContext<C>) {
+    const WorkerSink* s = ctx.instruments().trace;
+    if (s != nullptr && s->events_on) return ctx.trace_now();
   }
-#endif
-  (void)ctx;
   return kTraceOff;
 }
 
@@ -145,22 +129,11 @@ inline Cycles event_begin(C& ctx) {
 template <typename C>
 inline void event_end(C& ctx, Cycles t0, EventKind kind, LoopId loop,
                       u64 ivec_hash, i64 first, i64 count) {
-#if SELFSCHED_TRACE
-  if constexpr (TraceableContext<C>) {
+  if constexpr (SELFSCHED_TRACE && exec::InstrumentedContext<C>) {
     if (t0 == kTraceOff) return;
-    WorkerSink* s = ctx.trace_sink();
-    s->ring.push(TraceEvent{ctx.proc(), kind, loop, ivec_hash, first, count,
-                            t0, ctx.trace_now()});
-    return;
+    ctx.instruments().trace->ring.push(TraceEvent{
+        ctx.proc(), kind, loop, ivec_hash, first, count, t0, ctx.trace_now()});
   }
-#endif
-  (void)ctx;
-  (void)t0;
-  (void)kind;
-  (void)loop;
-  (void)ivec_hash;
-  (void)first;
-  (void)count;
 }
 
 /// Hash of the meaningful prefix of an instance's index vector — stable

@@ -15,17 +15,9 @@
 
 #include "common/types.hpp"
 #include "exec/context.hpp"
-#include "trace/recorder.hpp"
+#include "exec/instruments.hpp"
 #include "vtime/costs.hpp"
 #include "vtime/engine.hpp"
-
-namespace selfsched::audit {
-class Auditor;
-}
-
-namespace selfsched::fault {
-struct FaultPlan;
-}
 
 namespace selfsched::vtime {
 
@@ -110,34 +102,21 @@ class VContext {
 
   Cycles now() const { return engine_->now(proc_); }
 
-  /// Trace hook points (trace/recorder.hpp).  Reading the virtual clock
-  /// does not advance it, so a traced vtime run is bit-identical to an
-  /// untraced one.
-  void set_trace_sink(trace::WorkerSink* sink) { trace_sink_ = sink; }
-  trace::WorkerSink* trace_sink() const { return trace_sink_; }
+  /// The instrumentation seam (exec/instruments.hpp).  Every subscriber
+  /// is host-only and reading the virtual clock does not advance it, so a
+  /// traced, audited or plan-armed (but unfired) vtime run is bit-identical
+  /// to a bare one; a fired fault perturbs the run only through context
+  /// operations (pause, sync_op), so armed runs stay replayable.
+  void set_instruments(const exec::Instruments& in) { instruments_ = in; }
+  const exec::Instruments& instruments() const { return instruments_; }
   Cycles trace_now() const { return engine_->now(proc_); }
-
-  /// Audit hook point (audit/hooks.hpp).  The auditor does host work only
-  /// (no sync_op, no charge), so an audited vtime run is bit-identical to
-  /// an unaudited one.
-  void set_audit_sink(audit::Auditor* sink) { audit_sink_ = sink; }
-  audit::Auditor* audit_sink() const { return audit_sink_; }
-
-  /// Fault-injection hook point (runtime/fault.hpp).  Hooks do host
-  /// matching only; a fired fault perturbs the run exclusively through
-  /// context operations (pause, sync_op), so armed vtime runs stay
-  /// deterministic and replayable.
-  void set_fault_plan(fault::FaultPlan* plan) { fault_plan_ = plan; }
-  fault::FaultPlan* fault_plan() const { return fault_plan_; }
 
  private:
   Engine* engine_;
   CostModel costs_;
   ProcId proc_;
   Phase phase_ = Phase::kOther;
-  trace::WorkerSink* trace_sink_ = nullptr;
-  audit::Auditor* audit_sink_ = nullptr;
-  fault::FaultPlan* fault_plan_ = nullptr;
+  exec::Instruments instruments_;
   exec::WorkerStats stats_;
   std::optional<std::vector<exec::PhaseInterval>> timeline_;
   Cycles interval_start_ = 0;

@@ -90,7 +90,7 @@ sync::SyncResult Engine::sync_execute(ProcId id, Cycles cost, VSync& var,
   if (sync::test_holds(test, var.v, test_value)) {
     r.success = true;
     r.fetched = var.v;
-    var.v = sync::apply_op(op, var.v, operand);
+    var.store(sync::apply_op(op, var.v, operand));
   }
   ++seq_;
   check_op_limit_locked();

@@ -60,6 +60,13 @@ struct VSync {
   /// Plain initialization of a variable that is not yet shared (mirrors
   /// sync::SyncVar::reset); ordering comes from the publishing sync_op.
   void reset(i64 x) { v = x; }
+
+  /// Host-side peek (mirrors sync::SyncVar::load).  Virtual workers run
+  /// host code on their own carrier threads, so a peek can overlap another
+  /// worker's sync_op on the same word; that op stores with store(), and
+  /// both sides are relaxed atomics, so the overlap is not a data race.
+  i64 load() const { return __atomic_load_n(&v, __ATOMIC_RELAXED); }
+  void store(i64 x) { __atomic_store_n(&v, x, __ATOMIC_RELAXED); }
 };
 
 /// One engine-serialized event, for determinism tests and debugging.

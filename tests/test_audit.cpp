@@ -46,7 +46,7 @@ void clean_cycle(Auditor& a, const void* icb, LoopId loop = 3, i64 bound = 4) {
   ASSERT_EQ(a.on_dispatch(1, icb, 1, bound), 0u);
   ASSERT_EQ(a.on_unlink(1, icb), 0u);
   ASSERT_EQ(a.on_complete(1, icb, 0, bound), 0u);
-  ASSERT_EQ(a.on_detach(1, icb, 1), 0u);
+  ASSERT_EQ(a.on_detach(1, icb, 1, a.generation(icb)), 0u);
   ASSERT_EQ(a.on_release(1, icb), 0u);
 }
 
@@ -108,8 +108,69 @@ TEST(Auditor, DetachObservingNonPositivePcountIsViolation) {
   int icb = 0;
   a.on_acquire(0, &icb);
   a.on_publish(0, &icb, 0, 0, 4, 0);
-  EXPECT_EQ(a.on_detach(1, &icb, 0), 1u);
+  EXPECT_EQ(a.on_detach(1, &icb, 0, a.generation(&icb)), 1u);
   EXPECT_TRUE(has_rule(a, "pcount-negative"));
+}
+
+/// One generation of a bound-4 ICB with workers 0 and 1 attached, run up
+/// to the point where worker 0 completes it; worker 1 has executed its
+/// Decrement but its detach hook has not landed yet.  Returns the
+/// generation worker 1 read before its Decrement.
+u64 completed_with_late_detacher(Auditor& a, const void* icb) {
+  EXPECT_EQ(a.on_acquire(0, icb), 0u);
+  EXPECT_EQ(a.on_publish(0, icb, 3, 0xabcdu, 4, 1), 0u);
+  EXPECT_EQ(a.on_attach(0, icb), 0u);
+  EXPECT_EQ(a.on_attach(1, icb), 0u);
+  EXPECT_EQ(a.on_dispatch(0, icb, 1, 4), 0u);
+  EXPECT_EQ(a.on_unlink(0, icb), 0u);
+  const u64 late_gen = a.generation(icb);
+  EXPECT_EQ(a.on_complete(0, icb, 0, 4), 0u);
+  EXPECT_EQ(a.on_detach(0, icb, 1, a.generation(icb)), 0u);
+  EXPECT_EQ(a.on_release(0, icb), 0u);
+  return late_gen;
+}
+
+TEST(Auditor, LateDetachIsChargedToTheGenerationItLeft) {
+  // attach -> Decrement -> completer release -> re-acquire -> late detach:
+  // the late hook names the generation read before its Decrement, so the
+  // recycled generation's balance is untouched and quiescence is clean.
+  Auditor a;
+  int icb = 0;
+  const u64 late_gen = completed_with_late_detacher(a, &icb);
+  ASSERT_EQ(a.on_acquire(2, &icb), 0u);
+  EXPECT_EQ(a.on_detach(1, &icb, 2, late_gen), 0u);
+  ASSERT_EQ(a.on_publish(2, &icb, 3, 0xbeefu, 4, 1), 0u);
+  ASSERT_EQ(a.on_attach(2, &icb), 0u);
+  ASSERT_EQ(a.on_dispatch(2, &icb, 1, 4), 0u);
+  ASSERT_EQ(a.on_unlink(2, &icb), 0u);
+  ASSERT_EQ(a.on_complete(2, &icb, 0, 4), 0u);
+  ASSERT_EQ(a.on_detach(2, &icb, 1, a.generation(&icb)), 0u);
+  ASSERT_EQ(a.on_release(2, &icb), 0u);
+  a.on_terminate(2);
+  EXPECT_EQ(a.on_quiescence(true, 0, 0), 0u) << a.report();
+  EXPECT_EQ(a.violation_count(), 0u) << a.report();
+}
+
+TEST(Auditor, RecycledGenerationMissingADetachIsStillReported) {
+  // The open balance travels with its generation: if the late detach never
+  // lands at all, quiescence still reports it.
+  Auditor a;
+  int icb = 0;
+  (void)completed_with_late_detacher(a, &icb);
+  clean_cycle(a, &icb);
+  EXPECT_GE(a.on_quiescence(true, 0, 0), 1u);
+  EXPECT_TRUE(has_rule(a, "pcount-not-drained")) << a.report();
+}
+
+TEST(Auditor, HookNamingAnUnissuedGenerationIsViolation) {
+  Auditor a;
+  int icb = 0;
+  a.on_acquire(0, &icb);
+  a.on_publish(0, &icb, 0, 0, 4, 0);
+  a.on_attach(1, &icb);
+  EXPECT_EQ(a.on_detach(1, &icb, 1, a.generation(&icb) + 1), 1u);
+  EXPECT_EQ(a.on_attach_revoked(1, &icb, 0), 1u);
+  EXPECT_TRUE(has_rule(a, "unknown-generation"));
 }
 
 TEST(Auditor, DispatchFromReleasedIcbIsViolation) {
@@ -227,7 +288,7 @@ void clean_sharded_cycle(Auditor& a, const void* icb) {
   ASSERT_EQ(a.on_shard_exhaust(1, icb, 1, /*elected=*/true), 0u);
   ASSERT_EQ(a.on_unlink(1, icb), 0u);
   ASSERT_EQ(a.on_complete(1, icb, 0, 4), 0u);
-  ASSERT_EQ(a.on_detach(1, icb, 1), 0u);
+  ASSERT_EQ(a.on_detach(1, icb, 1, a.generation(icb)), 0u);
 }
 
 TEST(AuditShard, CleanShardedLifecycleRecordsNoViolations) {
@@ -621,7 +682,7 @@ TEST(AuditCancel, DrainedStateIsEmptyAfterCancellation) {
   vtime::Engine engine(4);
   engine.run([&](ProcId id) {
     vtime::VContext ctx(engine, id, vtime::CostModel::cedar());
-    ctx.set_audit_sink(&auditor);
+    ctx.set_instruments({.auditor = &auditor});
     if (id == 0) runtime::seed_program(ctx, st);
     runtime::worker_loop(ctx, st);
   });

@@ -10,6 +10,9 @@
 #include <string>
 #include <thread>
 
+#include "audit/auditor.hpp"
+#include "exec/instruments.hpp"
+#include "exec/real_context.hpp"
 #include "program/fig1.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/high_level.hpp"
@@ -471,20 +474,52 @@ TEST(FaultAdaptive, StallPerturbsTimingsButRunCompletesAndReplays) {
 }
 #endif  // SELFSCHED_FAULT
 
-// --------------------------------------------------------------- compile-out
+// ------------------------------------------------ the instrumentation seam
 
 struct BareContext {};
-static_assert(!fault::FaultableContext<BareContext>,
-              "a context without fault_plan() must compile the hooks away");
-static_assert(fault::FaultableContext<vtime::VContext>);
+static_assert(!exec::InstrumentedContext<BareContext>,
+              "a context without instruments() must compile every hook away");
+static_assert(exec::InstrumentedContext<exec::RContext>);
+static_assert(exec::InstrumentedContext<vtime::VContext>);
 
 TEST(FaultHooks, MatchIsInertOnAFaultlessContext) {
-  // match_body on a non-faultable context is a constant nullptr; this is
-  // the disabled path bench_fault_overhead measures.
+  // match_body on a context without the seam is a constant nullptr; this
+  // is the bare row bench_hook_overhead measures.
   BareContext ctx;
   IndexVec iv;
   EXPECT_EQ(fault::match_body(ctx, 0, iv, 0, 0), nullptr);
   fault::on_lock(ctx);  // must be a no-op, not a compile error
+}
+
+TEST(InstrumentSeam, AllSubscribersAtOnceAreBitIdenticalOnVtime) {
+  // Trace events, a live auditor and an armed-but-unmatched plan together
+  // do host work only: the simulated run must not move by one cycle.
+  const auto prog = program::make_fig1();
+  SchedOptions opts;
+  opts.record_schedule = true;
+  const RunResult bare = runtime::run_vtime(prog, 3, opts);
+
+  audit::Auditor auditor;
+  FaultPlan plan;
+  plan.body_throw(/*loop=*/999, /*iteration=*/-1);  // never matches
+  opts.trace_events = true;
+  opts.audit_sink = &auditor;
+  opts.fault_plan = &plan;
+  const RunResult all = runtime::run_vtime(prog, 3, opts);
+
+  EXPECT_EQ(all.makespan, bare.makespan);
+  EXPECT_EQ(all.engine_ops, bare.engine_ops);
+  EXPECT_EQ(all.schedule_decisions, bare.schedule_decisions);
+  EXPECT_FALSE(bare.schedule_decisions.empty());
+  EXPECT_FALSE(all.failure.has_value());
+  EXPECT_EQ(plan.total_fired(), 0u);
+  EXPECT_EQ(all.audit_violations, 0u) << all.audit_report;
+#if SELFSCHED_TRACE
+  EXPECT_FALSE(all.trace_events.empty());
+#endif
+#if SELFSCHED_TRACE && SELFSCHED_AUDIT
+  EXPECT_GT(all.counters.audit_events, 0u);
+#endif
 }
 
 // ------------------------------------------------------- doacross cancelling

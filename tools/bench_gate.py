@@ -43,58 +43,24 @@ def run_search_bench(build_dir, max_procs, tmp_path):
     return data["metrics"]
 
 
-def run_adaptive_bench(build_dir, tmp_path):
-    """E16 adaptive-vs-static portfolio sweeps (bench_adaptive): vtime,
-    deterministic, gated against BENCH_adaptive.json.  The bench enforces
-    its own acceptance thresholds (within 10% of best static, >=1.3x over
-    worst, bit-identical replay) and exits nonzero on violation — surface
-    that as a gate failure, not just a baseline delta."""
-    exe = os.path.join(build_dir, "bench", "bench_adaptive")
-    if not os.path.exists(exe):
-        sys.exit(f"bench_gate: {exe} not built (cmake --build {build_dir})")
-    proc = subprocess.run([exe, "--json", tmp_path],
-                          capture_output=True, text=True)
-    accept_ok = proc.returncode == 0
-    if not accept_ok:
-        for line in proc.stdout.splitlines():
-            if "ACCEPTANCE FAIL" in line:
-                print(f"bench_gate: {line}")
-    with open(tmp_path) as f:
-        data = json.load(f)
-    os.unlink(tmp_path)
-    return data["metrics"], accept_ok
+# The vtime sweeps gated against their own committed baselines, each also
+# enforcing its own acceptance thresholds: (tag, bench, baseline flag).
+#   adaptive  E16 adaptive-vs-static portfolio (within 10% of the best
+#             static, >=1.3x over the worst, bit-identical replay);
+#   shard     E17 sharded-vs-flat index dispatch (G=4 >= 1.3x flat at P=8
+#             on short-instance churn, G=1 bit-equal to the flat path);
+#   enter     E18 batched ENTER + sharded ICB arena (batched+G8 >= 1.25x
+#             the seed path at P=8 m=256, enter_batch=false bit-equal).
+ACCEPTING_BENCHES = (("adaptive", "bench_adaptive", "adaptive_baseline"),
+                     ("shard", "bench_shard_scale", "shard_baseline"),
+                     ("enter", "bench_enter_batch", "enter_baseline"))
 
 
-def run_shard_bench(build_dir, tmp_path):
-    """E17 sharded-vs-flat index dispatch sweep (bench_shard_scale): vtime,
-    deterministic, gated against BENCH_shard.json.  The bench enforces its
-    own acceptance thresholds (G=4 >= 1.3x over flat at P=8 on the
-    short-instance churn sweep, G=1 bit-equal to the flat path) and exits
-    nonzero on violation — surface that as a gate failure too."""
-    exe = os.path.join(build_dir, "bench", "bench_shard_scale")
-    if not os.path.exists(exe):
-        sys.exit(f"bench_gate: {exe} not built (cmake --build {build_dir})")
-    proc = subprocess.run([exe, "--json", tmp_path],
-                          capture_output=True, text=True)
-    accept_ok = proc.returncode == 0
-    if not accept_ok:
-        for line in proc.stdout.splitlines():
-            if "ACCEPTANCE FAIL" in line:
-                print(f"bench_gate: {line}")
-    with open(tmp_path) as f:
-        data = json.load(f)
-    os.unlink(tmp_path)
-    return data["metrics"], accept_ok
-
-
-def run_enter_bench(build_dir, tmp_path):
-    """E18 batched-ENTER + sharded-arena sweep (bench_enter_batch): vtime,
-    deterministic, gated against BENCH_enter.json.  The bench enforces its
-    own acceptance thresholds (batched+G8 >= 1.25x over the seed path at
-    P=8 m=256 on the wave-churn sweep, enter_batch=false bit-equal to the
-    default path) and exits nonzero on violation — surface that as a gate
-    failure too."""
-    exe = os.path.join(build_dir, "bench", "bench_enter_batch")
+def run_accepting_bench(build_dir, name, tmp_path):
+    """Run one of ACCEPTING_BENCHES: vtime, deterministic.  The bench exits
+    nonzero when its acceptance thresholds are violated — surface that as a
+    gate failure, not just a baseline delta.  Returns (metrics, ok)."""
+    exe = os.path.join(build_dir, "bench", name)
     if not os.path.exists(exe):
         sys.exit(f"bench_gate: {exe} not built (cmake --build {build_dir})")
     proc = subprocess.run([exe, "--json", tmp_path],
@@ -138,32 +104,26 @@ def run_overhead_bench(build_dir):
     return metrics
 
 
-def run_fault_overhead_bench(build_dir):
-    """Fault-injection hook cost ratios (bench_fault_overhead): wall-clock,
-    informational, never gated.  Parses the bench's table — the vs_bare
-    column of the non-bare rows is the disabled-path overhead the ISSUE
-    bounds at 2%."""
-    exe = os.path.join(build_dir, "bench", "bench_fault_overhead")
-    if not os.path.exists(exe):
-        print(f"bench_gate: note: {exe} not built, skipping fault bench")
-        return []
-    proc = subprocess.run([exe], capture_output=True, text=True)
-    if proc.returncode != 0:
-        print("bench_gate: note: bench_fault_overhead failed, skipping:"
-              f" {proc.stderr.strip()[:200]}")
-        return []
+def parse_hook_overhead(text):
+    """Fold bench_hook_overhead's table into ungated metrics: one
+    hook_overhead/<row>_vs_bare ratio per instrumented row (the bare row is
+    the shared denominator and reads 1.0 by construction)."""
     metrics = []
-    for line in proc.stdout.splitlines():
+    columns = None
+    for line in text.splitlines():
         cells = [c.strip() for c in line.split("|")]
-        if len(cells) != 4 or cells[0].startswith(("config", "bare")):
+        if columns is None:
+            if cells[0] == "config" and "vs_bare" in cells:
+                columns = cells
+            continue
+        if len(cells) != len(columns) or cells[0] == "bare":
             continue
         try:
-            ratio = float(cells[3])
+            ratio = float(cells[columns.index("vs_bare")])
         except ValueError:
             continue
-        slug = cells[0].split(" (")[0].replace(" ", "_").replace(",", "")
         metrics.append({
-            "name": f"fault_overhead/{slug}_vs_bare",
+            "name": f"hook_overhead/{cells[0]}_vs_bare",
             "value": ratio,
             "unit": "ratio",
             "better": "less",
@@ -171,6 +131,22 @@ def run_fault_overhead_bench(build_dir):
             "gate": False,
         })
     return metrics
+
+
+def run_hook_overhead_bench(build_dir):
+    """Instrumentation-seam cost ratios (bench_hook_overhead: trace, audit
+    and fault rows against one bare baseline): wall-clock, informational,
+    never gated."""
+    exe = os.path.join(build_dir, "bench", "bench_hook_overhead")
+    if not os.path.exists(exe):
+        print(f"bench_gate: note: {exe} not built, skipping hook bench")
+        return []
+    proc = subprocess.run([exe], capture_output=True, text=True)
+    if proc.returncode != 0:
+        print("bench_gate: note: bench_hook_overhead failed, skipping:"
+              f" {proc.stderr.strip()[:200]}")
+        return []
+    return parse_hook_overhead(proc.stdout)
 
 
 def run_serve_bench(build_dir, tmp_path):
@@ -311,37 +287,33 @@ def main():
     metrics = run_search_bench(args.build_dir, args.max_procs,
                                os.path.join(args.build_dir,
                                             "bench_search_tmp.json"))
-    ad_metrics, ad_accept_ok = run_adaptive_bench(
-        args.build_dir,
-        os.path.join(args.build_dir, "bench_adaptive_tmp.json"))
-    sh_metrics, sh_accept_ok = run_shard_bench(
-        args.build_dir,
-        os.path.join(args.build_dir, "bench_shard_tmp.json"))
-    en_metrics, en_accept_ok = run_enter_bench(
-        args.build_dir,
-        os.path.join(args.build_dir, "bench_enter_tmp.json"))
+    # (tag, baseline path, fresh results); the accepting benches always
+    # sweep at P=8, independent of --max-procs.
+    runs, accept_failed = [], []
+    for tag, name, flag in ACCEPTING_BENCHES:
+        bench_metrics, accept_ok = run_accepting_bench(
+            args.build_dir, name,
+            os.path.join(args.build_dir, f"{name}_tmp.json"))
+        runs.append((tag, getattr(args, flag),
+                     {"schema": SCHEMA, "max_procs": 8,
+                      "metrics": bench_metrics}))
+        if not accept_ok:
+            accept_failed.append(name)
     if not args.skip_gbench:
         metrics += run_overhead_bench(args.build_dir)
-        metrics += run_fault_overhead_bench(args.build_dir)
+        metrics += run_hook_overhead_bench(args.build_dir)
         metrics += run_serve_bench(args.build_dir,
                                    os.path.join(args.build_dir,
                                                 "bench_serve_tmp.json"))
 
     current = {"schema": SCHEMA, "max_procs": args.max_procs,
                "metrics": metrics}
-    # The adaptive, shard and enter benches always sweep at P=8,
-    # independent of --max-procs.
-    ad_current = {"schema": SCHEMA, "max_procs": 8, "metrics": ad_metrics}
-    sh_current = {"schema": SCHEMA, "max_procs": 8, "metrics": sh_metrics}
-    en_current = {"schema": SCHEMA, "max_procs": 8, "metrics": en_metrics}
+    runs.insert(0, ("search", args.baseline, current))
 
     if args.update_baseline:
         # The committed baselines must be machine-independent: keep only
         # the deterministic (vtime) metrics, never wall-clock ones.
-        for path, cur in ((args.baseline, current),
-                          (args.adaptive_baseline, ad_current),
-                          (args.shard_baseline, sh_current),
-                          (args.enter_baseline, en_current)):
+        for _, path, cur in runs:
             kept = [m for m in cur["metrics"] if m["deterministic"]]
             with open(path, "w") as f:
                 json.dump({"schema": SCHEMA,
@@ -351,7 +323,7 @@ def main():
             gated = sum(1 for m in kept if m["gate"])
             print(f"bench_gate: wrote {path} "
                   f"({len(kept)} metrics, {gated} gated)")
-        return 0 if ad_accept_ok and sh_accept_ok and en_accept_ok else 1
+        return 1 if accept_failed else 0
 
     out = args.out or "BENCH_search.new.json"
     with open(out, "w") as f:
@@ -360,10 +332,7 @@ def main():
     print(f"bench_gate: wrote {out} ({len(metrics)} metrics)")
 
     ok = True
-    for path, cur, tag in ((args.baseline, current, "search"),
-                           (args.adaptive_baseline, ad_current, "adaptive"),
-                           (args.shard_baseline, sh_current, "shard"),
-                           (args.enter_baseline, en_current, "enter")):
+    for tag, path, cur in runs:
         if not os.path.exists(path):
             sys.exit(f"bench_gate: baseline {path} not found — run "
                      "with --update-baseline to create it")
@@ -378,17 +347,9 @@ def main():
         print(f"bench_gate: [{tag}]")
         print("\n".join(lines))
         ok = ok and this_ok
-    if not ad_accept_ok:
-        print("bench_gate: FAIL — bench_adaptive acceptance thresholds "
-              "violated (see ACCEPTANCE FAIL lines above)")
-        ok = False
-    if not sh_accept_ok:
-        print("bench_gate: FAIL — bench_shard_scale acceptance thresholds "
-              "violated (see ACCEPTANCE FAIL lines above)")
-        ok = False
-    if not en_accept_ok:
-        print("bench_gate: FAIL — bench_enter_batch acceptance thresholds "
-              "violated (see ACCEPTANCE FAIL lines above)")
+    for name in accept_failed:
+        print(f"bench_gate: FAIL — {name} acceptance thresholds violated "
+              "(see ACCEPTANCE FAIL lines above)")
         ok = False
     return 0 if ok else 1
 

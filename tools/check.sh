@@ -10,51 +10,14 @@
 #                                  # auditor live (SELFSCHED_AUDIT=1 env:
 #                                  # every run is audited, violations abort),
 #                                  # then an ASan build of the same tiers
-#   tools/check.sh --faults        # fault-tolerance suite (test_fault +
-#                                  # cancellation-adjacent tests) under TSan,
-#                                  # then audited under ASan — the
-#                                  # cancellation/drain paths are exactly
-#                                  # where races and leaks would hide
-#   tools/check.sh --adaptive      # adaptive-scheduling conformance suite
-#                                  # (ISSUE 7): the strategy closed-form
-#                                  # oracles, the adaptive tuner tests, the
-#                                  # Eq. 7 model edge cases and the
-#                                  # stall-under-adaptation fault test under
-#                                  # TSan (the threads feedback path), then
-#                                  # audited under ASan, then the E16
-#                                  # acceptance thresholds (bench_adaptive)
-#   tools/check.sh --shard         # sharded-dispatch suite (ISSUE 8): the
-#                                  # shard-math oracles, the sharded-vs-flat
-#                                  # differential matrix, the shard auditor
-#                                  # rules and the sharded fault tests under
-#                                  # TSan (threads-engine shard counters),
-#                                  # then audited under ASan, then the E17
-#                                  # acceptance thresholds (bench_shard_scale)
-#   tools/check.sh --hotpath       # instance-churn hot-path suite (ISSUE
-#                                  # 9): the batched-vs-unbatched
-#                                  # differential matrix, the sharded-arena
-#                                  # units and the batch auditor rules under
-#                                  # TSan (batch flushes racing searchers,
-#                                  # allocated() sampling), then audited
-#                                  # under ASan, then the E18 acceptance
-#                                  # thresholds (bench_enter_batch)
-#   tools/check.sh --serve         # resident-service suite: test_serve +
-#                                  # the full serve-stress run (16
-#                                  # submitters, 224 audited programs, P=8,
-#                                  # oracle-verified, fairness asserted)
-#                                  # under TSan, then under ASan with the
-#                                  # fairness report written to
-#                                  # serve_fairness.json
-#   tools/check.sh --resilience    # self-healing serve suite (ISSUE 10):
-#                                  # the ServeResilience/FaultWatchdog/
-#                                  # Backoff-jitter tests plus the full
-#                                  # serve-chaos run (224 mixed-priority
-#                                  # programs under seeded body-throw +
-#                                  # worker-stall injection, all audited)
-#                                  # under TSan, then the audited ASan
-#                                  # chaos run with the recovery report
-#                                  # written to serve_chaos.json, then the
-#                                  # deterministic replay check
+#   tools/check.sh --<tier>        # one row of the tier table below: a
+#                                  # TSan build of the row's targets and
+#                                  # its ctest filter, then the same under
+#                                  # ASan with SELFSCHED_AUDIT=1 (every run
+#                                  # audited, violations abort), then the
+#                                  # row's extra commands (bench acceptance
+#                                  # thresholds, stress/chaos harnesses,
+#                                  # replay checks)
 #   tools/check.sh --label unit    # restrict ctest to one tier
 #                                  # (unit | stress | explore; repeatable
 #                                  #  via ctest's -L regex semantics)
@@ -65,172 +28,123 @@ cd "$(dirname "$0")/.."
 
 JOBS="${CMAKE_BUILD_PARALLEL_LEVEL:-$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)}"
 
+# The tier table.  One row per tier:
+#   name | build targets | ctest regex | repeat | extra commands
+# Every row runs the same pipeline (run_tier below): build the targets under
+# TSan and run the regex, build them under ASan and run the regex with the
+# auditor live, then run the extra commands, which may use either build.
+# A non-empty `repeat` runs both ctest passes with --repeat until-fail:N
+# next to $(nproc)+2 busy-spin processes (killed after each pass, and on
+# any exit).
+TIERS=(
+  # The fault tests plus the suites that exercise cancellation-adjacent
+  # machinery (teardown spins, Doacross waits, the thread team's exception
+  # path): the cancellation/drain paths are where races and leaks hide.
+  "faults|test_fault test_thread_team test_audit|FaultBody|FaultInject|FaultDeadline|FaultDrain|FaultReplay|FaultHooks|FaultDoacross|FaultWatchdog|AuditCancel|ThreadTeam||"
+  # Strategy closed-form oracles, the adaptive tuner, the completion-time
+  # model edge cases and the stall-under-adaptation fault test; then the
+  # E16 acceptance thresholds.
+  "adaptive|test_adaptive test_runtime_units test_analysis test_fault bench_adaptive|Strategy|Adaptive|PortfolioSweep|CompletionModel|FaultAdaptive||./build-asan/bench/bench_adaptive > /dev/null"
+  # Every sharded-dispatch suite carries "Shard" (shard math, differential
+  # matrix, auditor rules, sharded cancellation); then E17's thresholds.
+  "shard|test_shard test_runtime_units test_audit test_fault bench_shard_scale|Shard||./build-asan/bench/bench_shard_scale > /dev/null"
+  # Batched-ENTER differentials, sharded-arena units and the batch auditor
+  # rules; then E18's thresholds.
+  "hotpath|test_hotpath test_runtime_units test_audit bench_enter_batch|Hotpath|EnterBatch|AuditBatch||./build-asan/bench/bench_enter_batch > /dev/null"
+  # The service suite, then the full serve-stress run (16 submitters, 224
+  # audited programs, P=8, oracle-verified, fairness asserted) under both
+  # sanitizers, the ASan one writing the fairness report.
+  "serve|test_serve serve-stress|^Serve||./build-tsan/tools/serve-stress && ./build-asan/tools/serve-stress --json serve_fairness.json"
+  # Retry/quarantine/shed, the stall watchdog and the seeded-jitter backoff;
+  # then serve-chaos (224 programs under seeded injection, all audited)
+  # under both sanitizers, the recovery report, and the deterministic
+  # replay check.
+  "resilience|test_serve test_fault test_sync serve-chaos|ServeResilience|FaultWatchdog|Backoff|Serve\.||./build-tsan/tools/serve-chaos && ./build-asan/tools/serve-chaos --json serve_chaos.json && ./build-asan/tools/serve-chaos --deterministic --replay-check"
+  # Noisy neighbour: the threads-engine suites plus AuditRun.* repeated
+  # until failure next to busy-spinning processes, so a check that is only
+  # right on an idle host fails here.
+  "noisy|test_scheduler_threads test_thread_team test_audit test_adaptive test_doacross test_extensions test_fault test_hotpath test_property_random test_sections test_shard test_smoke test_trace|Threads|ThreadTeam|AuditRun\.|20|"
+)
+
+usage() {
+  local names=()
+  for row in "${TIERS[@]}"; do names+=("[--${row%%|*}]"); done
+  echo "usage: tools/check.sh [--fast] [--explore] [--audit] ${names[*]}" \
+       "[--label TIER]" >&2
+  exit 2
+}
+
+SPINNERS=()
+start_spinners() {
+  for _ in $(seq $(( $(nproc) + 2 ))); do
+    (while :; do :; done) &
+    SPINNERS+=("$!")
+  done
+}
+stop_spinners() {
+  if [[ ${#SPINNERS[@]} -gt 0 ]]; then
+    kill "${SPINNERS[@]}" 2>/dev/null || true
+    wait "${SPINNERS[@]}" 2>/dev/null || true
+  fi
+  SPINNERS=()
+}
+trap stop_spinners EXIT
+trap 'exit 130' INT
+trap 'exit 143' TERM
+
+# run_tier ROW: the whole TSan -> audited ASan -> extras pipeline of one row.
+# The regex may itself contain '|', so the row splits from both ends.
+run_tier() {
+  local row="$1"
+  local name="${row%%|*}"; row="${row#*|}"
+  local targets="${row%%|*}"; row="${row#*|}"
+  local extra="${row##*|}"; row="${row%|*}"
+  local repeat="${row##*|}"
+  local regex="${row%|*}"
+  local ctest_args=(--output-on-failure -j "$JOBS" -R "$regex")
+  [[ -z "$repeat" ]] || ctest_args+=(--repeat "until-fail:$repeat")
+  # shellcheck disable=SC2086  # targets is a word list
+  for san in thread address; do
+    local dir=build-tsan audit=0
+    if [[ "$san" == address ]]; then dir=build-asan audit=1; fi
+    echo "== $name: $dir build, ctest -R '$regex' (SELFSCHED_AUDIT=$audit)" \
+         "${repeat:+x$repeat next to busy-spin processes }=="
+    cmake -B "$dir" -S . -DSELFSCHED_SANITIZE="$san"
+    cmake --build "$dir" -j "$JOBS" --target $targets
+    [[ -z "$repeat" ]] || start_spinners
+    (cd "$dir" && SELFSCHED_AUDIT=$audit ctest "${ctest_args[@]}")
+    stop_spinners
+  done
+  if [[ -n "$extra" ]]; then
+    echo "== $name: $extra =="
+    bash -c "set -euo pipefail; $extra"
+  fi
+  echo "== OK ($name) =="
+}
+
 FAST=0
 EXPLORE=0
 AUDIT=0
-FAULTS=0
-SERVE=0
-RESILIENCE=0
-ADAPTIVE=0
-SHARD=0
-HOTPATH=0
 LABEL=""
+TIER=""
 while [[ $# -gt 0 ]]; do
   case "$1" in
     --fast) FAST=1; shift ;;
     --explore) EXPLORE=1; shift ;;
     --audit) AUDIT=1; shift ;;
-    --faults) FAULTS=1; shift ;;
-    --serve) SERVE=1; shift ;;
-    --resilience) RESILIENCE=1; shift ;;
-    --adaptive) ADAPTIVE=1; shift ;;
-    --shard) SHARD=1; shift ;;
-    --hotpath) HOTPATH=1; shift ;;
     --label) LABEL="${2:?--label needs an argument}"; shift 2 ;;
-    *) echo "usage: tools/check.sh [--fast] [--explore] [--audit]" \
-            "[--faults] [--serve] [--resilience] [--adaptive] [--shard]" \
-            "[--hotpath] [--label TIER]" >&2
-       exit 2 ;;
+    --*)
+      for row in "${TIERS[@]}"; do
+        if [[ "--${row%%|*}" == "$1" ]]; then TIER="$row"; fi
+      done
+      [[ -n "$TIER" ]] || usage
+      shift ;;
+    *) usage ;;
   esac
 done
 
-# The fault-suite test filter: the fault tests themselves plus the suites
-# that exercise cancellation-adjacent machinery (teardown spins, Doacross
-# waits, the thread team's exception path).
-FAULT_TESTS='FaultBody|FaultInject|FaultDeadline|FaultDrain|FaultReplay|FaultHooks|FaultDoacross|FaultWatchdog|AuditCancel|ThreadTeam'
-
-# The resilience filter: the serve recovery state machine (retry /
-# quarantine / shed), the stall watchdog, and the seeded-jitter backoff
-# the retry scheduler draws from.
-RESILIENCE_TESTS='ServeResilience|FaultWatchdog|Backoff|Serve\.'
-
-# The adaptive-conformance filter: the portfolio's closed-form oracle units
-# (Strategy*), the tuner suite (Adaptive*/PortfolioSweep), the completion-
-# time model edge cases, and the stall-under-adaptation fault test.
-ADAPTIVE_TESTS='Strategy|Adaptive|PortfolioSweep|CompletionModel|FaultAdaptive'
-
-# The sharded-dispatch filter: every suite name carries "Shard" — the
-# shard-math/ICB units (ShardMath/Shard.*), the differential matrix and
-# replay/counter/topology suites (Shard* in test_shard), the auditor rules
-# (AuditShard) and the sharded cancellation/deadline tests (FaultShard).
-SHARD_TESTS='Shard'
-
-# The hot-path filter: the batched-ENTER differential/replay/counter
-# suites and sharded-arena units (Hotpath*/EnterBatch* in test_hotpath)
-# plus the batch conservation rules in the auditor (AuditBatch).
-HOTPATH_TESTS='Hotpath|EnterBatch|AuditBatch'
-
-if [[ "$HOTPATH" == 1 ]]; then
-  echo "== hotpath: TSan build, instance-churn suite =="
-  cmake -B build-tsan -S . -DSELFSCHED_SANITIZE=thread
-  cmake --build build-tsan -j "$JOBS" --target test_hotpath \
-      test_runtime_units test_audit
-  (cd build-tsan && ctest --output-on-failure -j "$JOBS" -R "$HOTPATH_TESTS")
-  echo "== hotpath: ASan build, audited instance-churn suite =="
-  cmake -B build-asan -S . -DSELFSCHED_SANITIZE=address
-  cmake --build build-asan -j "$JOBS" --target test_hotpath \
-      test_runtime_units test_audit bench_enter_batch
-  (cd build-asan && SELFSCHED_AUDIT=1 ctest --output-on-failure -j "$JOBS" \
-      -R "$HOTPATH_TESTS")
-  echo "== hotpath: E18 acceptance thresholds =="
-  ./build-asan/bench/bench_enter_batch > /dev/null
-  echo "== OK (hotpath) =="
-  exit 0
-fi
-
-if [[ "$SHARD" == 1 ]]; then
-  echo "== shard: TSan build, sharded-dispatch suite =="
-  cmake -B build-tsan -S . -DSELFSCHED_SANITIZE=thread
-  cmake --build build-tsan -j "$JOBS" --target test_shard \
-      test_runtime_units test_audit test_fault
-  (cd build-tsan && ctest --output-on-failure -j "$JOBS" -R "$SHARD_TESTS")
-  echo "== shard: ASan build, audited sharded-dispatch suite =="
-  cmake -B build-asan -S . -DSELFSCHED_SANITIZE=address
-  cmake --build build-asan -j "$JOBS" --target test_shard \
-      test_runtime_units test_audit test_fault bench_shard_scale
-  (cd build-asan && SELFSCHED_AUDIT=1 ctest --output-on-failure -j "$JOBS" \
-      -R "$SHARD_TESTS")
-  echo "== shard: E17 acceptance thresholds =="
-  ./build-asan/bench/bench_shard_scale > /dev/null
-  echo "== OK (shard) =="
-  exit 0
-fi
-
-if [[ "$ADAPTIVE" == 1 ]]; then
-  echo "== adaptive: TSan build, strategy-conformance suite =="
-  cmake -B build-tsan -S . -DSELFSCHED_SANITIZE=thread
-  cmake --build build-tsan -j "$JOBS" --target test_adaptive \
-      test_runtime_units test_analysis test_fault
-  (cd build-tsan && ctest --output-on-failure -j "$JOBS" \
-      -R "$ADAPTIVE_TESTS")
-  echo "== adaptive: ASan build, audited conformance suite =="
-  cmake -B build-asan -S . -DSELFSCHED_SANITIZE=address
-  cmake --build build-asan -j "$JOBS" --target test_adaptive \
-      test_runtime_units test_analysis test_fault bench_adaptive
-  (cd build-asan && SELFSCHED_AUDIT=1 ctest --output-on-failure -j "$JOBS" \
-      -R "$ADAPTIVE_TESTS")
-  echo "== adaptive: E16 acceptance thresholds =="
-  ./build-asan/bench/bench_adaptive > /dev/null
-  echo "== OK (adaptive) =="
-  exit 0
-fi
-
-if [[ "$FAULTS" == 1 ]]; then
-  echo "== faults: TSan build, fault-tolerance suite =="
-  cmake -B build-tsan -S . -DSELFSCHED_SANITIZE=thread
-  cmake --build build-tsan -j "$JOBS" --target test_fault test_thread_team \
-      test_audit
-  (cd build-tsan && ctest --output-on-failure -j "$JOBS" -R "$FAULT_TESTS")
-  echo "== faults: ASan build, audited fault-tolerance suite =="
-  cmake -B build-asan -S . -DSELFSCHED_SANITIZE=address
-  cmake --build build-asan -j "$JOBS" --target test_fault test_thread_team \
-      test_audit
-  (cd build-asan && SELFSCHED_AUDIT=1 ctest --output-on-failure -j "$JOBS" \
-      -R "$FAULT_TESTS")
-  echo "== OK (faults) =="
-  exit 0
-fi
-
-if [[ "$SERVE" == 1 ]]; then
-  # serve-stress sets opts.audit on every submission, so both sanitizer
-  # passes run fully audited; the stress itself asserts oracle equality and
-  # the within-tier granted-cycle fairness bound.
-  echo "== serve: TSan build, service suite + stress =="
-  cmake -B build-tsan -S . -DSELFSCHED_SANITIZE=thread
-  cmake --build build-tsan -j "$JOBS" --target test_serve serve-stress
-  ./build-tsan/tests/test_serve
-  ./build-tsan/tools/serve-stress
-  echo "== serve: ASan build, audited stress + fairness report =="
-  cmake -B build-asan -S . -DSELFSCHED_SANITIZE=address
-  cmake --build build-asan -j "$JOBS" --target test_serve serve-stress
-  ./build-asan/tests/test_serve
-  ./build-asan/tools/serve-stress --json serve_fairness.json
-  echo "== OK (serve) =="
-  exit 0
-fi
-
-if [[ "$RESILIENCE" == 1 ]]; then
-  # serve-chaos arms every submission with audit on, so both sanitizer
-  # passes run fully audited; the harness itself asserts terminal states,
-  # oracle-exact retries, quarantine/shed engagement and healthy-tenant
-  # fairness.
-  echo "== resilience: TSan build, recovery suite + chaos =="
-  cmake -B build-tsan -S . -DSELFSCHED_SANITIZE=thread
-  cmake --build build-tsan -j "$JOBS" --target test_serve test_fault \
-      test_sync serve-chaos
-  (cd build-tsan && ctest --output-on-failure -j "$JOBS" \
-      -R "$RESILIENCE_TESTS")
-  ./build-tsan/tools/serve-chaos
-  echo "== resilience: ASan build, audited chaos + recovery report =="
-  cmake -B build-asan -S . -DSELFSCHED_SANITIZE=address
-  cmake --build build-asan -j "$JOBS" --target test_serve test_fault \
-      test_sync serve-chaos
-  (cd build-asan && SELFSCHED_AUDIT=1 ctest --output-on-failure -j "$JOBS" \
-      -R "$RESILIENCE_TESTS")
-  ./build-asan/tools/serve-chaos --json serve_chaos.json
-  echo "== resilience: deterministic chaos replay =="
-  ./build-asan/tools/serve-chaos --deterministic --replay-check
-  echo "== OK (resilience) =="
+if [[ -n "$TIER" ]]; then
+  run_tier "$TIER"
   exit 0
 fi
 

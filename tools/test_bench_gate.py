@@ -131,5 +131,41 @@ class EvaluateTest(unittest.TestCase):
         self.assertIn("refresh the baseline", "\n".join(lines))
 
 
+class HookOverheadParseTest(unittest.TestCase):
+    TABLE = """
+==============================================================
+E11/E13/E14: instrumentation-seam overhead (threads engine, ...)
+==============================================================
+procs=4 iters=200000 body_work=32 reps=11 (interleaved, median)
+config       | median_ms | ns_per_iter | vs_bare
+-------------+-----------+-------------+--------
+bare         | 27.10     | 135.5       | 1.000
+default      | 27.31     | 136.6       | 1.006
+trace_events | 30.02     | 150.1       | 1.108
+live_auditor | 95.40     | 477.0       | 3.520
+armed_plan   | 27.95     | 139.8       | 1.031
+
+auditor saw 1234 events, 0 violations in the last rep (want 0)
+default vs bare: 1.006x (target <= 1.02x; median of 11 interleaved ...)
+"""
+
+    def test_every_instrumented_row_becomes_an_ungated_ratio(self):
+        metrics = bench_gate.parse_hook_overhead(self.TABLE)
+        self.assertEqual(
+            [(m["name"], m["value"]) for m in metrics],
+            [("hook_overhead/default_vs_bare", 1.006),
+             ("hook_overhead/trace_events_vs_bare", 1.108),
+             ("hook_overhead/live_auditor_vs_bare", 3.52),
+             ("hook_overhead/armed_plan_vs_bare", 1.031)])
+        for m in metrics:
+            self.assertFalse(m["gate"])
+            self.assertFalse(m["deterministic"])
+            self.assertEqual(m["better"], "less")
+
+    def test_text_without_the_table_yields_nothing(self):
+        self.assertEqual(bench_gate.parse_hook_overhead("a | b | c | d\n"),
+                         [])
+
+
 if __name__ == "__main__":
     unittest.main()
