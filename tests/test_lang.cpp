@@ -217,6 +217,9 @@ struct BadCase {
   const char* src;
 };
 
+// Printed into each case's name; the default byte dump would hold pointers.
+void PrintTo(const BadCase& c, std::ostream* os) { *os << c.label; }
+
 class ParserErrors : public ::testing::TestWithParam<BadCase> {};
 
 TEST_P(ParserErrors, Throws) {

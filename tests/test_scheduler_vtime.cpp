@@ -56,6 +56,9 @@ struct StrategyCase {
   const char* label;
 };
 
+// Printed into each case's name; the default byte dump would hold a pointer.
+void PrintTo(const StrategyCase& c, std::ostream* os) { *os << c.label; }
+
 class Fig1AcrossStrategies
     : public ::testing::TestWithParam<StrategyCase> {};
 

@@ -62,6 +62,14 @@ struct TryOpCase {
   i64 want_after;
 };
 
+// gtest names each case by printing its parameter; without this it dumps the
+// struct's bytes, padding included, and the case names change per build.
+void PrintTo(const TryOpCase& c, std::ostream* os) {
+  *os << "A=" << c.initial << " {";
+  if (c.test != Test::kNone) *os << "A" << test_name(c.test) << c.test_value << " ";
+  *os << op_name(c.op) << "(" << c.operand << ")}";
+}
+
 class SyncVarTruthTable : public ::testing::TestWithParam<TryOpCase> {};
 
 TEST_P(SyncVarTruthTable, TryOp) {
