@@ -1,21 +1,26 @@
 // Low-level self-scheduling strategies (§II-C, §IV): how many iterations a
 // processor grabs from an instance's shared `index` variable per dispatch.
+// Each strategy is one of three grab protocols over a pure chunk rule.
 //
+// Fixed: {index <= b ; Fetch&Add(k)}, with k known before the grab.
 //   kSelf        one iteration per fetch&increment — the original HEP-style
 //                self-scheduling [7]; also the SDSS discipline for Doacross
 //                loops [16] (chunking a Doacross serializes k-1 of every k
 //                iterations, §I).
 //   kChunk       fixed chunk of k iterations per fetch&add(k) — Eq. (7)'s
 //                parameter k.
-//   kGSS         guided self-scheduling [14]: grab ceil(remaining / P).
-//   kFactoring   grab ceil(remaining / (2P)) — a batch-free rendition of
-//                Hummel/Schonberg/Flynn factoring (extension).
+//   kAdaptive    meta-strategy: seeds the chunk size from the §IV analytical
+//                optimum (analysis::optimal_adaptive_chunk, Eq. 7 extended
+//                with a tail-imbalance term) and retunes it per instance
+//                from per-chunk timing feedback (adaptive_feedback below).
+//
+// Sequenced: Increment(aux) gives the grab its dispatch sequence number seq,
+// then {index <= b ; Fetch&Add(rule(seq))}.
 //   kTrapezoid   trapezoid self-scheduling (Tzen/Ni): linearly decreasing
 //                chunks from `first` to `last` (extension).
 //   kFactoring2  true batched factoring: batch r hands out P *equal* chunks
 //                of k_r = ceil(R_r / 2P) before recomputing, R_{r+1} =
-//                R_r - P*k_r.  Sized off the dispatch-sequence counter, so
-//                the chunk series is a closed-form function of (b, P, seq).
+//                R_r - P*k_r.
 //   kWeightedFactoring
 //                factoring2 with static per-processor weights: worker p's
 //                chunk in batch r is ceil(k_r * P * w_p / sum(w)), for
@@ -25,19 +30,19 @@
 //                exact dispatch count N = ceil(2b/(f+l)) — and a 16.16
 //                fixed-point decrement so the ramp hits `last` exactly
 //                instead of flooring the slope to an integer.
+//
+// Remaining: the rule needs remaining = bound - index + 1 read-then-update
+// atomically; the paper's equality test turns test-and-op into compare-and-
+// swap: Fetch, then {index == seen ; Fetch&Add(rule(remaining))}, retried
+// on interference.
+//   kGSS         guided self-scheduling [14]: grab ceil(remaining / P).
+//   kFactoring   grab ceil(remaining / (2P)) — a batch-free rendition of
+//                Hummel/Schonberg/Flynn factoring (extension).
 //   kRandomSteal random/steal hybrid: while plenty of work remains, grab a
 //                hash-derived random chunk in [ceil(R/4P), R/2P] (decorrelates
 //                contention bursts); once R <= 2P, fall back to single-
 //                iteration grabs — the "steal the tail one at a time"
 //                endgame that bounds imbalance by one iteration.
-//   kAdaptive    meta-strategy: seeds the chunk size from the §IV analytical
-//                optimum (analysis::optimal_adaptive_chunk, Eq. 7 extended
-//                with a tail-imbalance term) and retunes it per instance
-//                from per-chunk timing feedback (adaptive_feedback below).
-//
-// GSS-style strategies need remaining = bound - index + 1 read-then-update
-// atomically; the paper's equality test turns test-and-op into compare-and-
-// swap: {index == seen ; Fetch&Add(chunk)} retried on interference.
 //
 // Cancellation containment: every strategy gates its grab on {index <= b}
 // (directly, or via the fetch-then-CAS pair whose CAS re-checks the fetched
@@ -195,21 +200,39 @@ inline i64 factoring2_chunk_at(i64 b, u32 procs, i64 seq, i64 min_chunk) {
   return std::max<i64>(1, k);
 }
 
-/// Weighted-factoring weight of worker p: byte p%8 of the packed weight
-/// word, with 0 mapped to 1 so an unset byte (and an all-zero word) means
-/// "uniform".
-inline i64 wf_weight_of(u64 weights, u32 proc) {
-  const u64 byte = (weights >> ((proc % 8) * 8)) & 0xff;
-  return byte == 0 ? 1 : static_cast<i64>(byte);
+/// Weighted-factoring chunk size of worker `proc` at dispatch sequence
+/// `seq`: the factoring2 batch chunk scaled by the worker's share of the
+/// weight mass, ceil(k_r * P * w_p / sum(w)).  Worker p's weight is byte
+/// p%8 of the packed word, with 0 read as 1 so an unset byte (and an
+/// all-zero word) means "uniform".  Pure.
+inline i64 wfactoring_chunk_at(i64 b, u32 procs, i64 seq, i64 min_chunk,
+                               u64 weights, u32 proc) {
+  const auto weight = [weights](u32 q) {
+    const u64 byte = (weights >> ((q % 8) * 8)) & 0xff;
+    return byte == 0 ? i64{1} : static_cast<i64>(byte);
+  };
+  i64 wsum = 0;
+  for (u32 q = 0; q < std::max<u32>(1, procs); ++q) wsum += weight(q);
+  const i64 k = factoring2_chunk_at(b, procs, seq, min_chunk);
+  const i64 p = std::max<i64>(1, static_cast<i64>(procs));
+  return std::max(min_chunk, (k * p * weight(proc) + wsum - 1) / wsum);
 }
 
-/// Sum of wf_weight_of over the first `procs` workers.
-inline i64 wf_weight_sum(u64 weights, u32 procs) {
-  i64 sum = 0;
-  for (u32 p = 0; p < std::max<u32>(1, procs); ++p) {
-    sum += wf_weight_of(weights, p);
-  }
-  return sum;
+/// Classic trapezoid chunk size at dispatch sequence `seq`: chunks decrease
+/// linearly, c(n) = max(last, first - n*delta), from first f (default
+/// floor(b/2P)) with the integer slope delta = (f-l)/(N-1), where N =
+/// ceil(b/avg) dispatches consume the loop at the average chunk (f+l)/2.
+/// A shallow ramp floors delta to 0 (constant chunks); tss2 below keeps
+/// the fraction.  Pure.
+inline i64 trapezoid_chunk_at(i64 b, u32 procs, i64 seq, i64 tss_first,
+                              i64 tss_last) {
+  const i64 p = std::max<i64>(1, static_cast<i64>(procs));
+  const i64 f = tss_first > 0 ? tss_first : std::max<i64>(1, b / (2 * p));
+  const i64 avg = std::max<i64>(1, (f + tss_last) / 2);
+  const i64 nd = std::max<i64>(1, (b + avg - 1) / avg);
+  const i64 delta =
+      nd > 1 ? std::max<i64>(0, (f - tss_last) / (nd - 1)) : 0;
+  return std::max(tss_last, f - seq * delta);
 }
 
 /// Tuned-TSS chunk size at dispatch sequence `seq`: first f (default
@@ -240,6 +263,39 @@ inline i64 random_steal_chunk(u64 seed, i64 index_seen, i64 remaining,
   const u64 h =
       mix64(seed ^ (static_cast<u64>(index_seen) * 0x9e3779b97f4a7c15ULL));
   return lo + static_cast<i64>(h % static_cast<u64>(hi - lo + 1));
+}
+
+/// Chunk rule of a sequenced strategy (trapezoid, factoring2, wfactoring,
+/// tss2): the size of grab `seq` of a `span`-iteration range by worker
+/// `proc`.
+inline i64 sequenced_chunk(const Strategy& s, i64 span, u32 procs, i64 seq,
+                           u32 proc) {
+  switch (s.kind) {
+    case Strategy::Kind::kTrapezoid:
+      return trapezoid_chunk_at(span, procs, seq, s.tss_first, s.tss_last);
+    case Strategy::Kind::kWeightedFactoring:
+      return wfactoring_chunk_at(span, procs, seq, s.chunk, s.wf_weights,
+                                 proc);
+    case Strategy::Kind::kTrapezoidTuned:
+      return tss2_chunk_at(span, procs, seq, s.tss_first, s.tss_last);
+    default:
+      return factoring2_chunk_at(span, procs, seq, s.chunk);
+  }
+}
+
+/// Chunk rule of a remaining-sized strategy (gss, factoring, randsteal):
+/// the size of a grab that fetched `index_seen` with `remaining` left.
+/// GSS and factoring share the guided rule ceil(R/div), floored at the
+/// minimum chunk; GSS divides by P, factoring by 2P.
+inline i64 remaining_chunk(const Strategy& s, i64 remaining, i64 index_seen,
+                           u32 procs) {
+  if (s.kind == Strategy::Kind::kRandomSteal) {
+    return random_steal_chunk(s.rs_seed, index_seen, remaining, procs,
+                              s.chunk);
+  }
+  const i64 div = static_cast<i64>(procs) *
+                  (s.kind == Strategy::Kind::kFactoring ? 2 : 1);
+  return std::max(s.chunk, (remaining + div - 1) / div);
 }
 
 /// Pure core of the adaptive tuner: the completion-time-optimal chunk for an
@@ -318,6 +374,30 @@ Cycles adaptive_clock(C& ctx) {
   }
 }
 
+/// The instance's current adaptive chunk.  The first arrival runs a seeding
+/// election ({adapt == 0 ; Store k0}) so exactly one worker's model
+/// evaluation is adopted and every loser reads the winner's k0.  Tuning
+/// state stays instance-global under sharding: the tuned chunk and tau EWMA
+/// live in the ICB's own sync vars and the seed optimizes for the whole
+/// instance (bound, all P workers), so every shard grabs with the same
+/// adaptively tuned k.
+template <exec::ExecutionContext C>
+i64 adaptive_chunk(C& ctx, Icb<C>& icb, const Strategy& s) {
+  const i64 k =
+      ctx.sync_op(icb.adapt, sync::Test::kNone, 0, sync::Op::kFetch).fetched;
+  if (k > 0) return k;
+  if constexpr (C::kIsSimulated) ctx.charge(ctx.costs().dispatch_arith);
+  const i64 k0 = adaptive_seed_chunk(ctx, s, icb.bound, ctx.num_procs());
+  if (ctx.sync_op(icb.adapt, sync::Test::kEQ, 0, sync::Op::kStore, k0)
+          .success) {
+    trace::bump(ctx, &trace::Counters::adapt_seeds);
+    return k0;
+  }
+  return std::max<i64>(
+      1, ctx.sync_op(icb.adapt, sync::Test::kNone, 0, sync::Op::kFetch)
+             .fetched);
+}
+
 /// Grab the next block of iterations from one contiguous sub-range [lo, hi]
 /// driven by the (index, aux) counter pair, according to `s`.  This is the
 /// paper's "start:" step generalized twice: to multi-iteration chunks
@@ -325,9 +405,9 @@ Cycles adaptive_clock(C& ctx) {
 /// switch serves both the flat low level (lo = 1, hi = bound, the instance's
 /// own counters) and one shard of a sharded index (the shard's counters and
 /// ownership range, with `procs` the shard's worker share so remaining/P
-/// rules see their actual contenders).  With the flat arguments this is
-/// op-for-op and charge-for-charge identical to the pre-sharding dispatcher
-/// — the vtime golden results pin that.
+/// rules see their actual contenders).  One case block per grab protocol
+/// (see the top of this file); the vtime golden results pin its op and
+/// charge sequence per strategy.
 ///
 /// `last_scheduled` on return means "this grab took the final iteration of
 /// [lo, hi]"; the sharded caller converts that into the instance-wide
@@ -336,6 +416,7 @@ template <exec::ExecutionContext C>
 Dispatch dispatch_range(C& ctx, Icb<C>& icb, typename C::Sync& index,
                         typename C::Sync& aux, i64 lo, i64 hi, u32 procs,
                         const Strategy& s) {
+  using Kind = Strategy::Kind;
   const i64 b = hi;             // gate / remaining-count anchor
   const i64 span = hi - lo + 1;  // total work the chunk rules size against
 
@@ -348,28 +429,42 @@ Dispatch dispatch_range(C& ctx, Icb<C>& icb, typename C::Sync& index,
   };
 
   switch (s.kind) {
-    case Strategy::Kind::kSelf:
-    case Strategy::Kind::kChunk: {
-      const i64 k = (s.kind == Strategy::Kind::kSelf) ? 1 : s.chunk;
+    case Kind::kSelf:
+    case Kind::kChunk:
+    case Kind::kAdaptive: {
+      const i64 k = s.kind == Kind::kSelf    ? 1
+                    : s.kind == Kind::kChunk ? s.chunk
+                                             : adaptive_chunk(ctx, icb, s);
       const auto r = ctx.sync_op(index, sync::Test::kLE, b,
                                  sync::Op::kFetchAdd, k);
       if (!r.success) return {};
       return finish(r.fetched, k);
     }
 
-    case Strategy::Kind::kGSS:
-    case Strategy::Kind::kFactoring: {
+    case Kind::kTrapezoid:
+    case Kind::kFactoring2:
+    case Kind::kWeightedFactoring:
+    case Kind::kTrapezoidTuned: {
+      const auto seq =
+          ctx.sync_op(aux, sync::Test::kNone, 0, sync::Op::kIncrement);
+      if constexpr (C::kIsSimulated) ctx.charge(ctx.costs().dispatch_arith);
+      const i64 want = sequenced_chunk(s, span, procs, seq.fetched, ctx.proc());
+      const auto r = ctx.sync_op(index, sync::Test::kLE, b,
+                                 sync::Op::kFetchAdd, want);
+      if (!r.success) return {};
+      return finish(r.fetched, want);
+    }
+
+    case Kind::kGSS:
+    case Kind::kFactoring:
+    case Kind::kRandomSteal:
       for (;;) {
         const auto seen =
             ctx.sync_op(index, sync::Test::kLE, b, sync::Op::kFetch);
         if (!seen.success) return {};
-        const i64 remaining = b - seen.fetched + 1;
-        const i64 div = (s.kind == Strategy::Kind::kGSS)
-                            ? static_cast<i64>(procs)
-                            : 2 * static_cast<i64>(procs);
         if constexpr (C::kIsSimulated) ctx.charge(ctx.costs().dispatch_arith);
         const i64 want =
-            std::max(s.chunk, (remaining + div - 1) / div);
+            remaining_chunk(s, b - seen.fetched + 1, seen.fetched, procs);
         const auto cas = ctx.sync_op(index, sync::Test::kEQ, seen.fetched,
                                      sync::Op::kFetchAdd, want);
         if (cas.success) return finish(cas.fetched, want);
@@ -377,114 +472,23 @@ Dispatch dispatch_range(C& ctx, Icb<C>& icb, typename C::Sync& index,
         // re-read and retry with the new remaining count.
         trace::bump(ctx, &trace::Counters::cas_retries);
       }
-    }
-
-    case Strategy::Kind::kTrapezoid: {
-      // Chunk sizes decrease linearly with the dispatch sequence number:
-      // c(n) = max(last, first - n*delta), delta = (first-last)/(N-1) where
-      // N = number of dispatches to consume the loop at the average chunk.
-      const i64 first_chunk =
-          s.tss_first > 0
-              ? s.tss_first
-              : std::max<i64>(1, span / (2 * static_cast<i64>(procs)));
-      const i64 avg = std::max<i64>(1, (first_chunk + s.tss_last) / 2);
-      const i64 n_dispatch = std::max<i64>(1, (span + avg - 1) / avg);
-      const i64 delta =
-          n_dispatch > 1 ? std::max<i64>(0, (first_chunk - s.tss_last) /
-                                                (n_dispatch - 1))
-                         : 0;
-      const auto seq =
-          ctx.sync_op(aux, sync::Test::kNone, 0, sync::Op::kIncrement);
-      if constexpr (C::kIsSimulated) ctx.charge(ctx.costs().dispatch_arith);
-      const i64 want =
-          std::max(s.tss_last, first_chunk - seq.fetched * delta);
-      const auto r = ctx.sync_op(index, sync::Test::kLE, b,
-                                 sync::Op::kFetchAdd, want);
-      if (!r.success) return {};
-      return finish(r.fetched, want);
-    }
-
-    case Strategy::Kind::kFactoring2:
-    case Strategy::Kind::kWeightedFactoring: {
-      // Batched factoring: the dispatch-sequence counter assigns this grab
-      // a slot; slot -> batch -> closed-form chunk size.  Weighted variant
-      // scales the batch chunk by this worker's share of the weight mass.
-      const auto seq =
-          ctx.sync_op(aux, sync::Test::kNone, 0, sync::Op::kIncrement);
-      if constexpr (C::kIsSimulated) ctx.charge(ctx.costs().dispatch_arith);
-      i64 want = factoring2_chunk_at(span, procs, seq.fetched, s.chunk);
-      if (s.kind == Strategy::Kind::kWeightedFactoring) {
-        const i64 w = wf_weight_of(s.wf_weights, ctx.proc());
-        const i64 wsum = wf_weight_sum(s.wf_weights, procs);
-        const i64 p = std::max<i64>(1, static_cast<i64>(procs));
-        want = std::max(s.chunk, (want * p * w + wsum - 1) / wsum);
-      }
-      const auto r = ctx.sync_op(index, sync::Test::kLE, b,
-                                 sync::Op::kFetchAdd, want);
-      if (!r.success) return {};
-      return finish(r.fetched, want);
-    }
-
-    case Strategy::Kind::kTrapezoidTuned: {
-      const auto seq =
-          ctx.sync_op(aux, sync::Test::kNone, 0, sync::Op::kIncrement);
-      if constexpr (C::kIsSimulated) ctx.charge(ctx.costs().dispatch_arith);
-      const i64 want =
-          tss2_chunk_at(span, procs, seq.fetched, s.tss_first, s.tss_last);
-      const auto r = ctx.sync_op(index, sync::Test::kLE, b,
-                                 sync::Op::kFetchAdd, want);
-      if (!r.success) return {};
-      return finish(r.fetched, want);
-    }
-
-    case Strategy::Kind::kRandomSteal: {
-      // Remaining-dependent like GSS, so it needs the fetch-then-CAS pair;
-      // the randomness keys off the fetched index, which the CAS pins.
-      for (;;) {
-        const auto seen =
-            ctx.sync_op(index, sync::Test::kLE, b, sync::Op::kFetch);
-        if (!seen.success) return {};
-        const i64 remaining = b - seen.fetched + 1;
-        if constexpr (C::kIsSimulated) ctx.charge(ctx.costs().dispatch_arith);
-        const i64 want = random_steal_chunk(s.rs_seed, seen.fetched,
-                                            remaining, procs, s.chunk);
-        const auto cas = ctx.sync_op(index, sync::Test::kEQ, seen.fetched,
-                                     sync::Op::kFetchAdd, want);
-        if (cas.success) return finish(cas.fetched, want);
-        trace::bump(ctx, &trace::Counters::cas_retries);
-      }
-    }
-
-    case Strategy::Kind::kAdaptive: {
-      // Read the instance's current tuned chunk; first arrival runs a
-      // seeding election ({adapt == 0 ; Store k0}) so exactly one worker
-      // pays the model evaluation and every loser adopts the winner's k0.
-      // Tuning state stays instance-global under sharding: the tuned chunk
-      // and tau EWMA live in the ICB's own sync vars and the seed optimizes
-      // for the whole instance (bound, all P workers), so every shard grabs
-      // with the same adaptively tuned k.  Only the gate is per-range.
-      i64 k = ctx.sync_op(icb.adapt, sync::Test::kNone, 0, sync::Op::kFetch)
-                  .fetched;
-      if (k <= 0) {
-        if constexpr (C::kIsSimulated) ctx.charge(ctx.costs().dispatch_arith);
-        const i64 k0 = adaptive_seed_chunk(ctx, s, icb.bound, ctx.num_procs());
-        if (ctx.sync_op(icb.adapt, sync::Test::kEQ, 0, sync::Op::kStore, k0)
-                .success) {
-          k = k0;
-          trace::bump(ctx, &trace::Counters::adapt_seeds);
-        } else {
-          k = std::max<i64>(
-              1, ctx.sync_op(icb.adapt, sync::Test::kNone, 0, sync::Op::kFetch)
-                     .fetched);
-        }
-      }
-      const auto r = ctx.sync_op(index, sync::Test::kLE, b,
-                                 sync::Op::kFetchAdd, k);
-      if (!r.success) return {};
-      return finish(r.fetched, k);
-    }
   }
   return {};
+}
+
+/// vtime topology model: a sync op on a counter homed in the topology group
+/// of shard `g` of `g_count` (a flat index is shard 0 of 1, homed in group
+/// 0) pays the remote-hop premium when issued from another group.
+template <exec::ExecutionContext C>
+void charge_cross_group(C& ctx, u32 g, u32 g_count) {
+  if constexpr (C::kIsSimulated) {
+    const auto& cm = ctx.costs();
+    if (cm.topo_groups > 1 &&
+        shard::topo_group_of(ctx.proc(), ctx.num_procs(), cm.topo_groups) !=
+            shard::shard_home_group(g, g_count, cm.topo_groups)) {
+      ctx.charge(cm.cross_group_sync_extra);
+    }
+  }
 }
 
 /// Sharded low-level dispatch (SchedOptions::index_shards > 1; see
@@ -520,14 +524,7 @@ Dispatch dispatch_sharded(C& ctx, Icb<C>& icb, const Strategy& s) {
         ctx.charge(ctx.costs().steal_probe_extra);
       }
     }
-    if constexpr (C::kIsSimulated) {
-      const auto& cm = ctx.costs();
-      if (cm.topo_groups > 1 &&
-          shard::topo_group_of(ctx.proc(), procs, cm.topo_groups) !=
-              shard::shard_home_group(g, g_count, cm.topo_groups)) {
-        ctx.charge(cm.cross_group_sync_extra);
-      }
-    }
+    charge_cross_group(ctx, g, g_count);
     Dispatch d =
         dispatch_range(ctx, icb, sh.index, sh.aux, sh.lo, sh.hi, sprocs, s);
     if (d.count == 0) continue;  // shard drained: steal from the next sibling
@@ -558,14 +555,7 @@ Dispatch dispatch_sharded(C& ctx, Icb<C>& icb, const Strategy& s) {
 template <exec::ExecutionContext C>
 Dispatch dispatch_iterations(C& ctx, Icb<C>& icb, const Strategy& s) {
   if (icb.num_shards > 1) return dispatch_sharded(ctx, icb, s);
-  if constexpr (C::kIsSimulated) {
-    const auto& cm = ctx.costs();
-    if (cm.topo_groups > 1 &&
-        shard::topo_group_of(ctx.proc(), ctx.num_procs(), cm.topo_groups) !=
-            0) {
-      ctx.charge(cm.cross_group_sync_extra);
-    }
-  }
+  charge_cross_group(ctx, 0, 1);
   return dispatch_range(ctx, icb, icb.index, icb.aux, 1, icb.bound,
                         ctx.num_procs(), s);
 }

@@ -3,6 +3,7 @@
 #include <string>
 
 #include "common/check.hpp"
+#include "runtime/strategy.hpp"
 #include "workloads/iteration_cost.hpp"
 
 namespace selfsched::workloads {
@@ -182,6 +183,24 @@ NestedLoopProgram random_program(u64 seed, const RandomProgramConfig& cfg,
                                  const BodyFactory& bodies) {
   RandomBuilder builder(seed, cfg, bodies);
   return NestedLoopProgram(builder.build());
+}
+
+runtime::Strategy strategy_for_seed(u64 seed) {
+  using runtime::Strategy;
+  switch (seed % 10) {
+    case 0: return Strategy::self();
+    case 1: return Strategy::chunked(static_cast<i64>(seed % 7) + 2);
+    case 2: return Strategy::gss();
+    case 3: return Strategy::factoring();
+    case 4: return Strategy::trapezoid();
+    case 5: return Strategy::factoring2();
+    case 6:
+      // Derive a packed weight word from the seed; zero bytes read as 1.
+      return Strategy::weighted_factoring(seed * 0x9e3779b97f4a7c15ULL);
+    case 7: return Strategy::trapezoid_tuned();
+    case 8: return Strategy::random_steal(seed | 1);
+    default: return Strategy::adaptive();
+  }
 }
 
 }  // namespace selfsched::workloads

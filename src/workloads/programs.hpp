@@ -5,6 +5,10 @@
 #include "common/rng.hpp"
 #include "program/tables.hpp"
 
+namespace selfsched::runtime {
+struct Strategy;
+}  // namespace selfsched::runtime
+
 namespace selfsched::workloads {
 
 /// Flat Doall: one innermost parallel loop of n iterations.
@@ -58,5 +62,10 @@ struct RandomProgramConfig {
 program::NestedLoopProgram random_program(
     u64 seed, const RandomProgramConfig& cfg = {},
     const program::BodyFactory& bodies = nullptr);
+
+/// The scheduling strategy paired with random_program(seed): one of the ten
+/// kinds by seed % 10, with seed-derived parameters.  Fuzz seeds and repro
+/// files replay through this mapping, so it must not change.
+runtime::Strategy strategy_for_seed(u64 seed);
 
 }  // namespace selfsched::workloads

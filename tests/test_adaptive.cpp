@@ -39,25 +39,6 @@ std::vector<ChunkGrant> chunk_log(const RunResult& r) {
   return out;
 }
 
-std::vector<i64> chunk_sizes(const RunResult& r) {
-  std::vector<i64> out;
-  for (const auto& e : r.trace_events) {
-    if (e.kind == trace::EventKind::kChunk) out.push_back(e.count);
-  }
-  return out;
-}
-
-/// The vtime engine's tuner inputs, replicated from adaptive_inputs():
-/// o1 = 2 sync ops per dispatch, o2 = 3 sync ops + 4 list steps per SEARCH.
-runtime::AdaptiveInputs vtime_inputs(const vtime::CostModel& c, i64 tau) {
-  runtime::AdaptiveInputs in;
-  in.tau = static_cast<double>(tau);
-  in.o1 = 2.0 * static_cast<double>(c.sync_op);
-  in.o2 = 3.0 * static_cast<double>(c.sync_op) +
-          4.0 * static_cast<double>(c.list_step);
-  return in;
-}
-
 // ------------------------------------------------- deterministic replay --
 
 TEST(Adaptive, VtimeChunkTrajectoryBitIdenticalAcrossRuns) {
@@ -88,6 +69,28 @@ TEST(Adaptive, VtimeChunkTrajectoryBitIdenticalAcrossRuns) {
   EXPECT_EQ(a.counters.adapt_feedbacks, b.counters.adapt_feedbacks);
   EXPECT_EQ(a.counters.adapt_retunes, b.counters.adapt_retunes);
   EXPECT_EQ(a.trace_events_dropped, 0u);
+}
+
+// These three read the chunk trajectory from trace events.
+#if SELFSCHED_TRACE
+
+std::vector<i64> chunk_sizes(const RunResult& r) {
+  std::vector<i64> out;
+  for (const auto& e : r.trace_events) {
+    if (e.kind == trace::EventKind::kChunk) out.push_back(e.count);
+  }
+  return out;
+}
+
+/// The vtime engine's tuner inputs, replicated from adaptive_inputs():
+/// o1 = 2 sync ops per dispatch, o2 = 3 sync ops + 4 list steps per SEARCH.
+runtime::AdaptiveInputs vtime_inputs(const vtime::CostModel& c, i64 tau) {
+  runtime::AdaptiveInputs in;
+  in.tau = static_cast<double>(tau);
+  in.o1 = 2.0 * static_cast<double>(c.sync_op);
+  in.o2 = 3.0 * static_cast<double>(c.sync_op) +
+          4.0 * static_cast<double>(c.list_step);
+  return in;
 }
 
 TEST(Adaptive, SeedChunkMatchesAnalyticalModel) {
@@ -143,6 +146,8 @@ TEST(Adaptive, HonorsMinAndMaxChunkClamps) {
     EXPECT_GE(c, 1);
   }
 }
+
+#endif  // SELFSCHED_TRACE
 
 // ------------------------------------------- sweep differential + audit --
 

@@ -380,8 +380,12 @@ TEST(AuditShard, CleanShardedSweepsAreSilentOnBothEngines) {
         runtime::run_vtime(workloads::nested_pair(3, 40, 25), 6, opts);
     EXPECT_EQ(rv.audit_violations, 0u) << "vtime G=" << g << "\n"
                                        << rv.audit_report;
+#if SELFSCHED_TRACE && SELFSCHED_AUDIT
     EXPECT_GT(rv.counters.audit_events, 0u);
+#endif
+#if SELFSCHED_TRACE
     EXPECT_GT(rv.counters.shard_grants, 0u);
+#endif
 
     Auditor tsink;
     opts.audit_sink = &tsink;
@@ -389,8 +393,12 @@ TEST(AuditShard, CleanShardedSweepsAreSilentOnBothEngines) {
         runtime::run_threads(workloads::nested_pair(3, 40, 25), 4, opts);
     EXPECT_EQ(rt.audit_violations, 0u) << "threads G=" << g << "\n"
                                        << rt.audit_report;
+#if SELFSCHED_TRACE && SELFSCHED_AUDIT
     EXPECT_GT(rt.counters.audit_events, 0u);
+#endif
+#if SELFSCHED_TRACE
     EXPECT_GT(rt.counters.shard_grants, 0u);
+#endif
   }
 }
 

@@ -222,8 +222,10 @@ TEST(EnterBatchReplay, RecordedBatchedRunReplaysBitIdentical) {
     rec_opts.schedule.jitter = 3;
     auto prog = workloads::nested_pair(6, 30, 20);
     const RunResult recorded = runtime::run_vtime(prog, 8, rec_opts);
+#if SELFSCHED_TRACE
     ASSERT_GT(recorded.counters.enter_batches, 0u)
         << "seed=" << seed << ": no batched flush to replay";
+#endif
 
     SchedOptions rep_opts = rec_opts;
     rep_opts.schedule = vtime::replay_of(rec_opts.schedule);
@@ -255,8 +257,10 @@ TEST(EnterBatchCounters, BatchAndStealCountersAreConsistent) {
   opts.audit = true;
   auto prog = workloads::nested_pair(6, 40, 25);
   const RunResult r = runtime::run_vtime(prog, 8, opts);
+#if SELFSCHED_TRACE
   EXPECT_GT(r.counters.enter_batches, 0u);
   EXPECT_GE(r.total.enters, r.counters.enter_batches);
+#endif
   EXPECT_EQ(r.total.enters, r.total.icbs_released);
   EXPECT_EQ(r.counters.icb_steals, 0u);
 }
@@ -273,7 +277,9 @@ TEST(EnterBatchCounters, BatchedRunsAuditCleanOnBothEngines) {
         runtime::run_vtime(workloads::nested_pair(3, 40, 25), 6, opts);
     EXPECT_EQ(rv.audit_violations, 0u) << "vtime G=" << g << "\n"
                                        << rv.audit_report;
+#if SELFSCHED_TRACE
     EXPECT_GT(rv.counters.enter_batches, 0u);
+#endif
 
     audit::Auditor tsink;
     opts.audit_sink = &tsink;
@@ -281,7 +287,9 @@ TEST(EnterBatchCounters, BatchedRunsAuditCleanOnBothEngines) {
         runtime::run_threads(workloads::nested_pair(3, 40, 25), 4, opts);
     EXPECT_EQ(rt.audit_violations, 0u) << "threads G=" << g << "\n"
                                        << rt.audit_report;
+#if SELFSCHED_TRACE
     EXPECT_GT(rt.counters.enter_batches, 0u);
+#endif
   }
 }
 

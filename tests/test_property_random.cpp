@@ -14,23 +14,6 @@ namespace {
 using selfsched::testing::Recorder;
 using selfsched::testing::normalized;
 
-runtime::Strategy strategy_for_seed(u64 seed) {
-  switch (seed % 10) {
-    case 0: return runtime::Strategy::self();
-    case 1: return runtime::Strategy::chunked(static_cast<i64>(seed % 7) + 2);
-    case 2: return runtime::Strategy::gss();
-    case 3: return runtime::Strategy::factoring();
-    case 4: return runtime::Strategy::trapezoid();
-    case 5: return runtime::Strategy::factoring2();
-    case 6:
-      return runtime::Strategy::weighted_factoring(seed *
-                                                   0x9e3779b97f4a7c15ULL);
-    case 7: return runtime::Strategy::trapezoid_tuned();
-    case 8: return runtime::Strategy::random_steal(seed | 1);
-    default: return runtime::Strategy::adaptive();
-  }
-}
-
 class RandomProgramVtime : public ::testing::TestWithParam<u64> {};
 
 TEST_P(RandomProgramVtime, MatchesSerialOracle) {
@@ -44,7 +27,7 @@ TEST_P(RandomProgramVtime, MatchesSerialOracle) {
   const auto serial = baselines::run_sequential(serial_prog);
 
   runtime::SchedOptions opts;
-  opts.strategy = strategy_for_seed(seed);
+  opts.strategy = workloads::strategy_for_seed(seed);
   opts.index_shards = 1 + static_cast<u32>(seed / 3 % 4);
   opts.enter_batch = seed % 2 == 0;
   opts.icb_shards = 1 + static_cast<u32>(seed / 5 % 4);
@@ -77,7 +60,7 @@ TEST_P(RandomProgramThreads, MatchesSerialOracle) {
   baselines::run_sequential(serial_prog);
 
   runtime::SchedOptions opts;
-  opts.strategy = strategy_for_seed(seed + 1);
+  opts.strategy = workloads::strategy_for_seed(seed + 1);
   opts.index_shards = 1 + static_cast<u32>(seed / 3 % 4);
   opts.enter_batch = seed % 2 == 0;
   opts.icb_shards = 1 + static_cast<u32>(seed / 5 % 4);
@@ -100,7 +83,7 @@ TEST_P(RandomProgramDeterminism, VtimeRunsAreBitIdentical) {
   auto run_once = [&] {
     auto prog = workloads::random_program(seed, cfg);
     runtime::SchedOptions opts;
-    opts.strategy = strategy_for_seed(seed);
+    opts.strategy = workloads::strategy_for_seed(seed);
     opts.index_shards = 1 + static_cast<u32>(seed / 3 % 4);
   opts.enter_batch = seed % 2 == 0;
   opts.icb_shards = 1 + static_cast<u32>(seed / 5 % 4);

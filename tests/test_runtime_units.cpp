@@ -6,6 +6,7 @@
 
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exec/real_context.hpp"
@@ -273,20 +274,24 @@ TEST(CtxControlWord, HierarchicalMatchesFlatOnRandomOps) {
 
 // ------------------------------------------------------------ Strategies --
 
-/// Drain an ICB of bound `b` with strategy `s`, returning the grab sizes in
-/// dispatch order and checking coverage invariants.
-std::vector<i64> drain(i64 b, const Strategy& s, u32 procs = 4) {
+/// Drain an ICB of bound `b` split into `g_count` index shards with strategy
+/// `s`, single-threaded as proc 0 of `procs`, returning every grab in
+/// dispatch order and checking coverage invariants: exactly-once coverage
+/// of [1, b], and the completion election fires exactly once, on the final
+/// grab.
+std::vector<Dispatch> drain_grabs(i64 b, u32 g_count, const Strategy& s,
+                                  u32 procs) {
   RContext ctx(0, procs);
   Icb<RContext> icb;
-  icb.init(0, b, IndexVec{}, false);
-  std::vector<i64> sizes;
+  icb.init(0, b, IndexVec{}, false, kMaxDepth, g_count);
+  std::vector<Dispatch> grabs;
   std::set<i64> covered;
   bool saw_last = false;
   for (;;) {
     const Dispatch d = dispatch_iterations(ctx, icb, s);
     if (d.count == 0) break;
     EXPECT_FALSE(saw_last) << "grab after last_scheduled";
-    sizes.push_back(d.count);
+    grabs.push_back(d);
     for (i64 j = d.first; j < d.first + d.count; ++j) {
       EXPECT_TRUE(covered.insert(j).second) << "iteration " << j
                                             << " dispatched twice";
@@ -295,8 +300,17 @@ std::vector<i64> drain(i64 b, const Strategy& s, u32 procs = 4) {
     }
     saw_last = d.last_scheduled;
   }
-  EXPECT_TRUE(saw_last || b == 0);
+  EXPECT_TRUE(saw_last || b == 0) << "completion election never fired";
   EXPECT_EQ(static_cast<i64>(covered.size()), b) << "incomplete coverage";
+  return grabs;
+}
+
+/// The grab sizes of a flat drain, in dispatch order.
+std::vector<i64> drain(i64 b, const Strategy& s, u32 procs = 4) {
+  std::vector<i64> sizes;
+  for (const Dispatch& d : drain_grabs(b, 1, s, procs)) {
+    sizes.push_back(d.count);
+  }
   return sizes;
 }
 
@@ -325,13 +339,6 @@ TEST(Strategy, GssGuidedDecrease) {
   EXPECT_EQ(sizes.back(), 1);
 }
 
-TEST(Strategy, GssRespectsMinimumChunk) {
-  const auto sizes = drain(100, Strategy::gss(8), 4);
-  for (std::size_t i = 0; i + 1 < sizes.size(); ++i) {
-    EXPECT_GE(sizes[i], 8);
-  }
-}
-
 TEST(Strategy, FactoringHalvesGssChunks) {
   const auto gss_sizes = drain(256, Strategy::gss(), 4);
   const auto fac_sizes = drain(256, Strategy::factoring(), 4);
@@ -339,112 +346,65 @@ TEST(Strategy, FactoringHalvesGssChunks) {
   EXPECT_LT(fac_sizes.front(), gss_sizes.front());
 }
 
-TEST(Strategy, TrapezoidDecreasesLinearly) {
-  const auto sizes = drain(128, Strategy::trapezoid(16, 2), 4);
-  EXPECT_EQ(sizes.front(), 16);
-  for (std::size_t i = 1; i < sizes.size(); ++i) {
-    EXPECT_LE(sizes[i], sizes[i - 1]);
-  }
-  EXPECT_GE(sizes.back(), 1);
-}
+// The three grab protocols of dispatch_range, restated here so the replay
+// below checks which counter each kind sizes its chunk off.
+enum class Grab { kFixed, kSequenced, kRemaining };
 
-// Closed-form chunk sequence of strategy `s` draining bound `b` with no
-// interference (single processor drains, so Fetch-then-CAS never retries):
-// the analytic forms from §II-C / §IV that dispatch_iterations must match
-// grab for grab.
-std::vector<i64> closed_form(i64 b, const Strategy& s, u32 procs) {
-  const i64 p = static_cast<i64>(procs);
+// Single-worker replay of strategy `s` draining bound `b` under protocol
+// `grab`, calling the dispatcher's own pure chunk rules.  With one worker
+// the remaining protocol's CAS never retries, so this checks the protocol
+// plumbing (the counter each kind sizes off, the clamp at b, the sum); the
+// literal exact-sequence tests pin the formulas themselves.
+std::vector<i64> replay(i64 b, const Strategy& s, Grab grab, u32 procs) {
+  RContext ctx(0, procs);
+  // No feedback flows through drain() (it calls only the dispatcher), so an
+  // adaptive chunk stays pinned at the threaded-engine seed; self() carries
+  // chunk 1.
+  const i64 fixed = s.kind == Strategy::Kind::kAdaptive
+                        ? runtime::adaptive_seed_chunk(ctx, s, b, procs)
+                        : s.chunk;
   std::vector<i64> out;
-  i64 index = 1;  // iterations are 1-based
-  i64 n = 0;      // dispatch sequence number (trapezoid)
-  while (index <= b) {
+  for (i64 index = 1, seq = 0; index <= b; ++seq) {
     const i64 remaining = b - index + 1;
-    i64 want = 0;
-    switch (s.kind) {
-      case Strategy::Kind::kSelf:
-        want = 1;
+    i64 want = fixed;
+    switch (grab) {
+      case Grab::kFixed: break;
+      case Grab::kSequenced:
+        want = runtime::sequenced_chunk(s, b, procs, seq, 0);
         break;
-      case Strategy::Kind::kChunk:
-        want = s.chunk;
-        break;
-      case Strategy::Kind::kGSS:
-        want = std::max(s.chunk, (remaining + p - 1) / p);
-        break;
-      case Strategy::Kind::kFactoring:
-        want = std::max(s.chunk, (remaining + 2 * p - 1) / (2 * p));
-        break;
-      case Strategy::Kind::kTrapezoid: {
-        const i64 first =
-            s.tss_first > 0 ? s.tss_first : std::max<i64>(1, b / (2 * p));
-        const i64 avg = std::max<i64>(1, (first + s.tss_last) / 2);
-        const i64 nd = std::max<i64>(1, (b + avg - 1) / avg);
-        const i64 delta =
-            nd > 1 ? std::max<i64>(0, (first - s.tss_last) / (nd - 1)) : 0;
-        want = std::max(s.tss_last, first - n * delta);
-        break;
-      }
-      case Strategy::Kind::kFactoring2:
-      case Strategy::Kind::kWeightedFactoring: {
-        // Batched factoring, replicated independently of the runtime
-        // helper: batch r = n/P sizes P chunks at ceil(R_r/2P).
-        const i64 batch = n / p;
-        i64 rem = b;
-        i64 k = s.chunk;
-        for (i64 r = 0;; ++r) {
-          k = std::max(s.chunk, (rem + 2 * p - 1) / (2 * p));
-          if (r == batch || rem == 0) break;
-          rem = std::max<i64>(0, rem - p * k);
-        }
-        want = std::max<i64>(1, k);
-        if (s.kind == Strategy::Kind::kWeightedFactoring) {
-          // drain() dispatches as worker 0: weight byte 0 (0 reads as 1).
-          auto weight = [&](u32 q) {
-            const u64 byte = (s.wf_weights >> ((q % 8) * 8)) & 0xff;
-            return byte == 0 ? i64{1} : static_cast<i64>(byte);
-          };
-          i64 wsum = 0;
-          for (u32 q = 0; q < procs; ++q) wsum += weight(q);
-          want = std::max(s.chunk, (want * p * weight(0) + wsum - 1) / wsum);
-        }
-        break;
-      }
-      case Strategy::Kind::kTrapezoidTuned: {
-        const i64 f = s.tss_first > 0 ? s.tss_first
-                                      : std::max<i64>(1, (b + 2 * p - 1) /
-                                                             (2 * p));
-        const i64 l = std::max<i64>(1, std::min(s.tss_last, f));
-        const i64 nd = std::max<i64>(2, (2 * b + f + l - 1) / (f + l));
-        const i64 delta_fp = ((f - l) << 16) / (nd - 1);
-        want = std::max(l, f - ((n * delta_fp) >> 16));
-        break;
-      }
-      case Strategy::Kind::kRandomSteal: {
-        if (remaining <= 2 * p) {
-          want = 1;
-        } else {
-          const i64 lo = std::max(s.chunk, (remaining + 4 * p - 1) / (4 * p));
-          const i64 hi = std::max(lo, remaining / (2 * p));
-          const u64 h = mix64(s.rs_seed ^ (static_cast<u64>(index) *
-                                           0x9e3779b97f4a7c15ULL));
-          want = lo + static_cast<i64>(h % static_cast<u64>(hi - lo + 1));
-        }
-        break;
-      }
-      case Strategy::Kind::kAdaptive:
-        // No feedback flows through drain() (it calls only the dispatcher),
-        // so the chunk stays pinned at the threaded-engine seed.
-        want = runtime::adaptive_chunk_for(
-            static_cast<double>(s.adapt_tau > 0 ? s.adapt_tau
-                                                : runtime::kAdaptiveDefaultTau),
-            runtime::kAdaptiveThreadO1, runtime::kAdaptiveThreadO2, b, procs,
-            s.chunk, s.adapt_max);
+      case Grab::kRemaining:
+        want = runtime::remaining_chunk(s, remaining, index, procs);
         break;
     }
     out.push_back(std::min(want, remaining));
     index += want;
-    ++n;
   }
   return out;
+}
+
+// Every strategy kind, with non-default parameters where they change the
+// rule, paired with the protocol it grabs under.
+const std::vector<std::pair<Strategy, Grab>>& rule_cases() {
+  static const std::vector<std::pair<Strategy, Grab>> cases = {
+      {Strategy::self(), Grab::kFixed},
+      {Strategy::chunked(4), Grab::kFixed},
+      {Strategy::gss(), Grab::kRemaining},
+      {Strategy::gss(8), Grab::kRemaining},
+      {Strategy::factoring(), Grab::kRemaining},
+      {Strategy::factoring(3), Grab::kRemaining},
+      {Strategy::trapezoid(16, 2), Grab::kSequenced},
+      {Strategy::trapezoid(0, 1), Grab::kSequenced},
+      {Strategy::factoring2(), Grab::kSequenced},
+      {Strategy::factoring2(3), Grab::kSequenced},
+      {Strategy::weighted_factoring(0x0101020401020301ULL), Grab::kSequenced},
+      {Strategy::trapezoid_tuned(16, 2), Grab::kSequenced},
+      {Strategy::trapezoid_tuned(0, 1), Grab::kSequenced},
+      {Strategy::random_steal(42), Grab::kRemaining},
+      {Strategy::random_steal(1, 4), Grab::kRemaining},
+      {Strategy::adaptive(), Grab::kFixed},
+      {Strategy::adaptive(10, 2, 64), Grab::kFixed},
+  };
+  return cases;
 }
 
 i64 sum(const std::vector<i64>& v) {
@@ -455,11 +415,9 @@ i64 sum(const std::vector<i64>& v) {
 
 TEST(Strategy, GssExactSequence) {
   // b=20, P=4: ceil(20/4)=5, ceil(15/4)=4, ceil(11/4)=3, ceil(8/4)=2,
-  // ceil(6/4)=2, then 1s — and the closed form at scale.
+  // ceil(6/4)=2, then 1s.
   EXPECT_EQ(drain(20, Strategy::gss(), 4),
             (std::vector<i64>{5, 4, 3, 2, 2, 1, 1, 1, 1}));
-  EXPECT_EQ(drain(100, Strategy::gss(), 4),
-            closed_form(100, Strategy::gss(), 4));
 }
 
 TEST(Strategy, GssMinChunkExactSequence) {
@@ -473,8 +431,6 @@ TEST(Strategy, FactoringExactSequence) {
   // b=20, P=2: divisor 2P=4 gives the same decrease as GSS at P=4.
   EXPECT_EQ(drain(20, Strategy::factoring(), 2),
             (std::vector<i64>{5, 4, 3, 2, 2, 1, 1, 1, 1}));
-  EXPECT_EQ(drain(256, Strategy::factoring(), 4),
-            closed_form(256, Strategy::factoring(), 4));
 }
 
 TEST(Strategy, TrapezoidExactSequence) {
@@ -492,7 +448,6 @@ TEST(Strategy, TrapezoidAutoFirstChunk) {
   EXPECT_EQ(sizes.front(), 16);
   EXPECT_EQ(sizes,
             (std::vector<i64>{16, 15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 2}));
-  EXPECT_EQ(sizes, closed_form(128, Strategy::trapezoid(0, 1), 4));
 }
 
 TEST(Strategy, TrapezoidBoundSmallerThanLastChunk) {
@@ -528,10 +483,10 @@ TEST(Strategy, WeightedFactoringUniformMatchesFactoring2) {
 
 TEST(Strategy, WeightedFactoringScalesChunkByWorkerWeight) {
   // Worker 0 weight 4, workers 1-3 weight 1 (wsum 7): its batch-0 chunk is
-  // ceil(13*4*4/7) = 30 instead of 13.  drain() dispatches as worker 0.
-  const auto sizes = drain(100, Strategy::weighted_factoring(0x04), 4);
-  EXPECT_EQ(sizes.front(), 30);
-  EXPECT_EQ(sum(sizes), 100);
+  // ceil(13*4*4/7) = 30 instead of 13, and batch 1 (k=6) still gives it
+  // ceil(6*4*4/7) = 14 > the 10 left.  drain() dispatches as worker 0.
+  EXPECT_EQ(drain(100, Strategy::weighted_factoring(0x04), 4),
+            (std::vector<i64>{30, 30, 30, 10}));
 }
 
 TEST(Strategy, Tss2ExactSequence) {
@@ -544,8 +499,10 @@ TEST(Strategy, Tss2ExactSequence) {
 
 TEST(Strategy, Tss2CeilFirstDiffersFromTrapezoidFloor) {
   // b=100, P=4: classic trapezoid floors first to 100/8 = 12; tss2 takes
-  // ceil(100/8) = 13 (Tzen/Ni's bound-covering choice).
-  EXPECT_EQ(drain(100, Strategy::trapezoid(0, 1), 4).front(), 12);
+  // ceil(100/8) = 13 (Tzen/Ni's bound-covering choice).  Classic: avg =
+  // 13/2 = 6, N = ceil(100/6) = 17, delta = 11/16 floors to 0 — constant.
+  EXPECT_EQ(drain(100, Strategy::trapezoid(0, 1), 4),
+            (std::vector<i64>{12, 12, 12, 12, 12, 12, 12, 12, 4}));
   EXPECT_EQ(drain(100, Strategy::trapezoid_tuned(0, 1), 4).front(), 13);
 }
 
@@ -562,28 +519,29 @@ TEST(Strategy, Tss2FractionalSlopeKeepsDecreasing) {
 }
 
 TEST(Strategy, RandomStealChunksStayInGssLikeBand) {
-  // While remaining > 2P every draw lies in [ceil(R/4P), R/2P]; the
-  // endgame degrades to single-iteration steals.
-  const u32 procs = 4;
-  RContext ctx(0, procs);
-  Icb<RContext> icb;
-  icb.init(0, 1000, IndexVec{}, false);
-  i64 index = 1;
-  for (;;) {
-    const Dispatch d = dispatch_iterations(ctx, icb, Strategy::random_steal(7));
-    if (d.count == 0) break;
-    const i64 remaining = 1000 - index + 1;
-    if (remaining > 2 * static_cast<i64>(procs)) {
-      const i64 lo = (remaining + 4 * procs - 1) / (4 * procs);
-      const i64 hi = std::max(lo, remaining / (2 * procs));
-      EXPECT_GE(d.count, std::min(lo, remaining));
-      EXPECT_LE(d.count, hi);
+  // While remaining R > 2P every draw c lies in [ceil(R/4P), R/2P], i.e.
+  // 4P*c >= R >= 2P*c; the endgame degrades to single-iteration steals.
+  const i64 p = 4;
+  i64 remaining = 1000;
+  for (const i64 c : drain(1000, Strategy::random_steal(7), 4)) {
+    if (remaining > 2 * p) {
+      EXPECT_GE(4 * p * c, remaining);
+      EXPECT_LE(2 * p * c, remaining);
     } else {
-      EXPECT_EQ(d.count, std::min<i64>(1, remaining));
+      EXPECT_EQ(c, 1);
     }
-    index += d.count;
+    remaining -= c;
   }
-  EXPECT_EQ(index, 1001);
+  EXPECT_EQ(remaining, 0);
+}
+
+TEST(Strategy, RandomStealExactSequence) {
+  // b=100, P=4: hashed draws in [ceil(R/16), R/4] until R <= 2P = 8, then
+  // single-iteration steals.
+  EXPECT_EQ(drain(100, Strategy::random_steal(42), 4),
+            (std::vector<i64>{8, 10, 10, 7, 5, 5, 5, 5, 5, 3, 3, 3,
+                              2, 2, 2, 3, 2, 2, 2, 1, 1, 1, 1, 1, 1,
+                              1, 1, 1, 1, 1, 1, 1, 1, 1, 1}));
 }
 
 TEST(Strategy, RandomStealSeedDeterminesSequence) {
@@ -600,7 +558,7 @@ TEST(Strategy, AdaptiveConstantChunkWithoutFeedback) {
   const i64 k0 = runtime::adaptive_chunk_for(
       runtime::kAdaptiveDefaultTau, runtime::kAdaptiveThreadO1,
       runtime::kAdaptiveThreadO2, 1000, 4);
-  EXPECT_GE(k0, 1);
+  EXPECT_EQ(k0, 10);
   const auto sizes = drain(1000, Strategy::adaptive(), 4);
   for (std::size_t i = 0; i + 1 < sizes.size(); ++i) {
     EXPECT_EQ(sizes[i], k0) << "unfed adaptive chunk drifted";
@@ -609,29 +567,15 @@ TEST(Strategy, AdaptiveConstantChunkWithoutFeedback) {
 
 TEST(Strategy, AllKindsMatchClosedFormAndCoverBound) {
   // Sweep every strategy kind across bounds and processor counts: the
-  // dispatched sequence must equal the analytic sequence grab for grab and
+  // dispatched sequence must equal its protocol's replay grab for grab and
   // sum exactly to the bound (drain() additionally asserts no iteration is
   // dispatched twice).
-  const std::vector<Strategy> strategies = {
-      Strategy::self(),          Strategy::chunked(4),
-      Strategy::gss(),           Strategy::gss(8),
-      Strategy::factoring(),     Strategy::factoring(3),
-      Strategy::trapezoid(16, 2), Strategy::trapezoid(0, 1),
-      Strategy::factoring2(),    Strategy::factoring2(3),
-      Strategy::weighted_factoring(0x0101020401020301ULL),
-      Strategy::trapezoid_tuned(16, 2),
-      Strategy::trapezoid_tuned(0, 1),
-      Strategy::random_steal(42),
-      Strategy::random_steal(1, 4),
-      Strategy::adaptive(),
-      Strategy::adaptive(10, 2, 64),
-  };
   for (const i64 b : {1, 7, 64, 100, 333, 1000}) {
     for (const u32 procs : {1u, 2u, 4u, 8u}) {
-      for (const auto& s : strategies) {
-        const auto want = closed_form(b, s, procs);
+      for (const auto& [s, grab] : rule_cases()) {
         const auto got = drain(b, s, procs);
-        EXPECT_EQ(got, want) << s.name() << " b=" << b << " P=" << procs;
+        EXPECT_EQ(got, replay(b, s, grab, procs))
+            << s.name() << " b=" << b << " P=" << procs;
         EXPECT_EQ(sum(got), b) << s.name() << " b=" << b << " P=" << procs;
       }
     }
@@ -772,24 +716,13 @@ TEST(Shard, IcbInitSetsCountersToShardRangesAndRecycles) {
   EXPECT_EQ(icb.index.load(), 1);
 }
 
-/// Drain a sharded ICB single-threaded (as proc 0 of `procs`), returning the
-/// grab sizes per shard in dispatch order and checking the sharded protocol
-/// invariants: exactly-once coverage of [1, b], grabs stay inside the
-/// granting shard's range, home-first probe order (shard g is touched only
-/// after shards home..g-1 drained), and the completion election fires
-/// exactly once, on the final grab.
+/// Drain a sharded ICB (drain_grabs' checks), returning the grab sizes per
+/// shard in dispatch order and checking that every grab stays inside the
+/// granting shard's range.
 std::vector<std::vector<i64>> sharded_drain(i64 b, u32 g_count,
                                             const Strategy& s, u32 procs) {
-  RContext ctx(0, procs);
-  Icb<RContext> icb;
-  icb.init(0, b, IndexVec{}, false, kMaxDepth, g_count);
   std::vector<std::vector<i64>> per_shard(g_count);
-  std::set<i64> covered;
-  bool saw_last = false;
-  for (;;) {
-    const Dispatch d = dispatch_iterations(ctx, icb, s);
-    if (d.count == 0) break;
-    EXPECT_FALSE(saw_last) << "grab after the completion election";
+  for (const Dispatch& d : drain_grabs(b, g_count, s, procs)) {
     // Attribute the grab to the shard whose range contains it; the grab
     // must not straddle a shard boundary.
     u32 g = g_count;
@@ -805,39 +738,30 @@ std::vector<std::vector<i64>> sharded_drain(i64 b, u32 g_count,
     EXPECT_LE(d.first + d.count - 1, shard::shard_hi(b, g_count, g))
         << "grab straddles a shard boundary";
     per_shard[g].push_back(d.count);
-    for (i64 j = d.first; j < d.first + d.count; ++j) {
-      EXPECT_TRUE(covered.insert(j).second)
-          << "iteration " << j << " dispatched twice";
-    }
-    saw_last = d.last_scheduled;
   }
-  EXPECT_TRUE(saw_last || b == 0) << "completion election never fired";
-  EXPECT_EQ(static_cast<i64>(covered.size()), b) << "incomplete coverage";
   return per_shard;
 }
 
 TEST(Shard, PerShardChunkSequencesMatchClosedForm) {
   // Each shard runs the strategy's chunk rule against its own sub-range with
   // the shard's worker share as P — so a shard of size n on P/G workers
-  // must produce exactly closed_form(n, s, shard_procs(P, G)), grab for
-  // grab.  (kAdaptive is excluded: its chunk is deliberately tuned
-  // instance-globally, not per shard.)
-  const std::vector<Strategy> strategies = {
-      Strategy::chunked(4),
-      Strategy::gss(),
-      Strategy::factoring2(),
-      Strategy::trapezoid_tuned(),
-      Strategy::trapezoid(16, 2),
-  };
+  // must produce exactly replay(n, s, grab, shard_procs(P, G)), grab for
+  // grab.  kAdaptive is excluded because its chunk is deliberately tuned
+  // instance-globally, not per shard; kRandomSteal because its draw hashes
+  // the absolute index, and only shard 0 starts at 1.
   const u32 procs = 8;
   for (const i64 b : {7, 64, 100, 333}) {
     for (const u32 g_count : {2u, 4u}) {
       const u32 sprocs = shard::shard_procs(procs, g_count);
-      for (const auto& s : strategies) {
+      for (const auto& [s, grab] : rule_cases()) {
+        if (s.kind == Strategy::Kind::kAdaptive ||
+            s.kind == Strategy::Kind::kRandomSteal) {
+          continue;
+        }
         const auto got = sharded_drain(b, g_count, s, procs);
         for (u32 g = 0; g < g_count; ++g) {
           const i64 size = shard::shard_size(b, g_count, g);
-          const auto want = closed_form(size, s, sprocs);
+          const auto want = replay(size, s, grab, sprocs);
           EXPECT_EQ(got[g], want) << s.name() << " b=" << b
                                   << " G=" << g_count << " shard=" << g;
         }

@@ -22,6 +22,9 @@ struct ThreadCase {
   const char* label;
 };
 
+// Printed into each case's name; the default byte dump would hold a pointer.
+void PrintTo(const ThreadCase& c, std::ostream* os) { *os << c.label; }
+
 class ThreadsFig1 : public ::testing::TestWithParam<ThreadCase> {};
 
 TEST_P(ThreadsFig1, MatchesSerialOracle) {

@@ -5,6 +5,9 @@
 #
 #   tools/check.sh                 # tier-1 + TSan
 #   tools/check.sh --fast          # tier-1 only
+#   tools/check.sh --bare          # tier-1 in build-bare, with the trace,
+#                                  # audit and fault hooks compiled out
+#                                  # (SELFSCHED_{TRACE,AUDIT,FAULT}=OFF)
 #   tools/check.sh --explore       # tier-1 + TSan + schedule-sweep fuzz smoke
 #   tools/check.sh --audit         # unit+explore tiers with the invariant
 #                                  # auditor live (SELFSCHED_AUDIT=1 env:
@@ -69,7 +72,8 @@ TIERS=(
 usage() {
   local names=()
   for row in "${TIERS[@]}"; do names+=("[--${row%%|*}]"); done
-  echo "usage: tools/check.sh [--fast] [--explore] [--audit] ${names[*]}" \
+  echo "usage: tools/check.sh [--fast] [--bare] [--explore] [--audit]" \
+       "${names[*]}" \
        "[--label TIER]" >&2
   exit 2
 }
@@ -123,6 +127,7 @@ run_tier() {
 }
 
 FAST=0
+BARE=0
 EXPLORE=0
 AUDIT=0
 LABEL=""
@@ -130,6 +135,7 @@ TIER=""
 while [[ $# -gt 0 ]]; do
   case "$1" in
     --fast) FAST=1; shift ;;
+    --bare) BARE=1; shift ;;
     --explore) EXPLORE=1; shift ;;
     --audit) AUDIT=1; shift ;;
     --label) LABEL="${2:?--label needs an argument}"; shift 2 ;;
@@ -166,6 +172,16 @@ fi
 CTEST_ARGS=(--output-on-failure -j "$JOBS")
 if [[ -n "$LABEL" ]]; then
   CTEST_ARGS+=(-L "$LABEL")
+fi
+
+if [[ "$BARE" == 1 ]]; then
+  echo "== bare: tier-1 with every kill switch off${LABEL:+ (label: $LABEL)} =="
+  cmake -B build-bare -S . -DSELFSCHED_TRACE=OFF -DSELFSCHED_AUDIT=OFF \
+      -DSELFSCHED_FAULT=OFF
+  cmake --build build-bare -j "$JOBS"
+  (cd build-bare && ctest "${CTEST_ARGS[@]}")
+  echo "== OK (bare) =="
+  exit 0
 fi
 
 echo "== tier-1: build + test suite${LABEL:+ (label: $LABEL)} =="

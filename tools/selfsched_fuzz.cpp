@@ -30,24 +30,6 @@ using namespace selfsched;
 
 namespace {
 
-runtime::Strategy strategy_for_seed(u64 seed) {
-  switch (seed % 10) {
-    case 0: return runtime::Strategy::self();
-    case 1:
-      return runtime::Strategy::chunked(static_cast<i64>(seed % 7) + 2);
-    case 2: return runtime::Strategy::gss();
-    case 3: return runtime::Strategy::factoring();
-    case 4: return runtime::Strategy::trapezoid();
-    case 5: return runtime::Strategy::factoring2();
-    case 6:
-      // Derive a packed weight word from the seed; zero bytes read as 1.
-      return runtime::Strategy::weighted_factoring(seed * 0x9e3779b97f4a7c15ULL);
-    case 7: return runtime::Strategy::trapezoid_tuned();
-    case 8: return runtime::Strategy::random_steal(seed | 1);
-    default: return runtime::Strategy::adaptive();
-  }
-}
-
 /// One fuzz case, fully determined: everything needed to rebuild the
 /// program and scheduler configuration without re-deriving from CLI state.
 struct FuzzCase {
@@ -69,7 +51,7 @@ FuzzCase case_for_seed(u64 seed, u32 max_procs, u32 depth) {
   FuzzCase c;
   c.program_seed = seed;
   c.depth = depth;
-  const runtime::Strategy s = strategy_for_seed(seed);
+  const runtime::Strategy s = workloads::strategy_for_seed(seed);
   c.strategy_kind = static_cast<u32>(s.kind);
   c.strategy_chunk = s.chunk;
   c.strategy_aux = s.wf_weights != 0 ? s.wf_weights : s.rs_seed;
